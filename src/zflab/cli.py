@@ -3,8 +3,10 @@ side, fuzz random families, and emit deterministic reports.
 
 Reports are plain dicts rendered as JSON or indented text; for a fixed
 configuration (including the seed) the emitted bytes are identical across
-runs.  Exit status is 0 exactly when no asserted property failed; findings
-(such as the literal-universe empty Q_S) are recorded without failing.
+runs.  Exit status is 0 exactly when no asserted property failed, 1 when one
+did (including a cross-check between two internal routes), and 2 on
+diagnostics (bad input, caps, unwritable output); findings (such as the
+literal-universe empty Q_S) are recorded without failing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .construction import (
     run_pipeline,
     theorem4_order_from_choice,
 )
-from .errors import CapExceeded, EmptyFamily, ParseError, ZfLabError
+from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, ParseError, ZfLabError
 from .hfs import (
     DEFAULT_POWERSET_CAP,
     hfs_literal,
@@ -91,6 +93,17 @@ def load_family(path: str) -> Family:
     return Family.of(members)
 
 
+def _cap_value(name: str, value) -> int:
+    # Caps bound enumeration sizes, so they are nonnegative integers.
+    try:
+        cap = int(value)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _resolve_caps(env: Optional[str], powerset_flag: Optional[int],
                   product_flag: Optional[int]) -> tuple:
     powerset_cap = DEFAULT_POWERSET_CAP
@@ -100,13 +113,13 @@ def _resolve_caps(env: Optional[str], powerset_flag: Optional[int],
         if len(parts) != 2:
             raise ParseError(f"ZFLAB_CAPS must be 'powerset,product', got {env!r}")
         if parts[0].strip():
-            powerset_cap = int(parts[0])
+            powerset_cap = _cap_value("the ZFLAB_CAPS powerset cap", parts[0])
         if parts[1].strip():
-            product_cap = int(parts[1])
+            product_cap = _cap_value("the ZFLAB_CAPS product cap", parts[1])
     if powerset_flag is not None:
-        powerset_cap = powerset_flag
+        powerset_cap = _cap_value("--powerset-cap", powerset_flag)
     if product_flag is not None:
-        product_cap = product_flag
+        product_cap = _cap_value("--product-cap", product_flag)
     return powerset_cap, product_cap
 
 
@@ -355,10 +368,17 @@ def execute(cfg: RunConfig) -> tuple:
         _COMMANDS[cfg.command](cfg, report, findings, failures)
     except ZfLabError as e:
         report["error"] = {"type": type(e).__name__, "message": str(e)}
-        status = 2
+        # Two routes inside the program disagreeing is a failed property,
+        # not a diagnostic about the input.
+        status = 1 if isinstance(e, CrossCheckFailed) else 2
     except OSError as e:
         report["error"] = {"type": "IoError", "message": str(e)}
         status = 2
+    return _conclude(cfg, report, findings, failures, status)
+
+
+def _conclude(cfg: RunConfig, report: dict, findings: list, failures: list,
+              status: int) -> tuple:
     report["findings"] = findings
     report["failures"] = failures
     report["ok"] = status == 0 and not failures
@@ -463,10 +483,15 @@ def main(argv=None) -> int:
     )
     status, rendered = execute(cfg)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+            return status
+        except OSError as e:
+            report = {"command": cfg.command, "config": _config_dict(cfg),
+                      "error": {"type": "IoError", "message": str(e)}}
+            status, rendered = _conclude(cfg, report, [], [], 2)
+    sys.stdout.write(rendered)
     return status
 
 

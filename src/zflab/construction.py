@@ -18,7 +18,7 @@ The candidate universe U2 is deliberately built in two inequivalent ways:
   Candidates here can combine pairs from all members, and Q_S is exactly the
   product of the per-member order sets.  The pipeline enumerates that product
   directly and, at micro scale, re-derives it from the subset filter and
-  asserts agreement.
+  raises CrossCheckFailed unless the two agree.
 
 Orders participate only when they have a least element, since the choice
 extraction takes exactly that least; on nonempty carriers every admissible
@@ -31,12 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import CapExceeded, EmptyFamily, NoLeast, NotAPair
+from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, NoLeast, NotAPair
 from .hfs import (
     DEFAULT_POWERSET_CAP,
-    EMPTY,
     HfSet,
     canonical_key,
     cartesian,
@@ -168,6 +167,35 @@ def build_universes(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) ->
     for a in family.members.children:
         subsets.extend(powerset(cartesian(a, a), cap=powerset_cap).children)
     return family.union, make_set(subsets)
+
+
+def _u1_size(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) -> int:
+    """|U1| by inclusion-exclusion, without building U1.
+
+    P(A x A) and P(B x B) meet in P((A n B)^2), so |U1| sums, over nonempty
+    sets I of members, (-1)^(|I|+1) * 2^(|n I|^2).  Terms are accumulated per
+    distinct intersection, where most of them cancel.  Raises the CapExceeded
+    that :func:`build_universes` raises, for the same member.
+    """
+    coeffs: dict = {}  # intersection of some members -> signed multiplicity
+    for a in family.members.children:
+        n = len(a) ** 2
+        if n > powerset_cap:
+            raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
+        elems = frozenset(a.children)
+        # Every term so far, intersected with A and with its sign flipped,
+        # plus A on its own.
+        step = {elems: 1}
+        for common, c in coeffs.items():
+            key = common & elems
+            step[key] = step.get(key, 0) - c
+        for key, c in step.items():
+            c += coeffs.get(key, 0)
+            if c:
+                coeffs[key] = c
+            else:
+                coeffs.pop(key, None)
+    return sum(c * 2 ** (len(common) ** 2) for common, c in coeffs.items())
 
 
 def _member_products(family: Family) -> list:
@@ -377,9 +405,8 @@ def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
         for p in q.children:
             mask |= 1 << bit_of[p]
         enumerated.add(mask)
-    assert enumerated == filtered, (
-        "product enumeration disagrees with the subset filter"
-    )
+    if enumerated != filtered:
+        raise CrossCheckFailed("product enumeration disagrees with the subset filter")
 
 
 def restrict_Q(q: HfSet, a: HfSet) -> HfSet:
@@ -534,8 +561,16 @@ class PipelineReport:
 def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
                  powerset_cap: int = DEFAULT_POWERSET_CAP,
                  product_cap: int = DEFAULT_PRODUCT_CAP) -> PipelineReport:
-    """Run the whole construction and report sizes and witnesses."""
-    _, u1 = build_universes(family, powerset_cap)
+    """Run the whole construction and report sizes and witnesses.
+
+    U1 is counted, not built.  While no member has more than 3 elements
+    (U1 at most 2^9 sets per member) it is also built and must match.
+    """
+    u1_size = _u1_size(family, powerset_cap)
+    if all(len(a) <= 3 for a in family.members.children):
+        built = len(build_universes(family, powerset_cap)[1])
+        if built != u1_size:
+            raise CrossCheckFailed(f"counted |U1| {u1_size} != built |U1| {built}")
     base = make_set(
         p for _, product in _member_products(family) for p in product.children
     )
@@ -553,7 +588,7 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
         variant=variant.value,
         kind=kind.value,
         family=hfs_literal(family.members),
-        u1_size=len(u1),
+        u1_size=u1_size,
         u2_base_size=len(base),
         u2_size=u2_size,
         qs_size=len(qs),

@@ -53,3 +53,7 @@ class SampleOutsideInterval(ZfLabError):
 
 class EmptyFamily(ZfLabError):
     """A family of sets must have at least one member."""
+
+
+class CrossCheckFailed(ZfLabError):
+    """Two independent routes to the same result disagree."""

@@ -137,11 +137,6 @@ def make_set(elems: Iterable[HfSet] = ()) -> HfSet:
     return _node(tuple(out))
 
 
-def _from_sorted(children: tuple) -> HfSet:
-    # Fast path for callers that hold an already-canonical children tuple.
-    return _node(children)
-
-
 EMPTY = make_set(())
 
 
@@ -182,15 +177,15 @@ def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
     subsets = []
     for mask in range(1 << n):
         picked = tuple(children[i] for i in range(n) if mask >> i & 1)
-        subsets.append(_from_sorted(picked))  # subsequence of sorted is sorted
+        subsets.append(_node(picked))  # subsequence of sorted is sorted
     return make_set(subsets)
 
 
 def ordered_pair(x: HfSet, y: HfSet) -> HfSet:
     """The pair-set encoding {{x},{x,y}}; collapses to {{x}} when x = y."""
-    sx = _from_sorted((x,))
+    sx = _node((x,))
     if x is y or x == y:
-        return _from_sorted((sx,))
+        return _node((sx,))
     sxy = make_set((x, y))
     return make_set((sx, sxy))
 
@@ -285,7 +280,7 @@ def von_neumann(n: int) -> HfSet:
     while len(_naturals) <= n:
         # Ranks strictly increase along the naturals, so the prefix tuple is
         # already in canonical order.
-        _naturals.append(_from_sorted(tuple(_naturals)))
+        _naturals.append(_node(tuple(_naturals)))
     return _naturals[n]
 
 

@@ -7,6 +7,13 @@ so agreement between the two routes is evidence rather than tautology.  Kinds
 are addressed by their serialized names ("wellorder", "pol",
 "unique-universal"); enum values from other modules are accepted and read via
 their ``.value``.
+
+The subset scans build each candidate relation as a set and test it by
+membership alone.  What they do not redo: the n*n encoded pairs of a carrier
+are built once per scan into a pair table that every candidate and every
+membership test reads from, and whether a member admits a partial order with
+a least element is memoized on the member, so a member shared by many
+families is scanned once per process.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, EmptyFamily
+from .errors import CapExceeded, CrossCheckFailed, EmptyFamily
 from .hfs import HfSet, canonical_key, hfs_literal, is_member, make_set, ordered_pair
 
 __all__ = [
@@ -64,10 +71,11 @@ def enumerate_choice_functions(family, cap: int = DEFAULT_PRODUCT_CAP) -> tuple:
     return tuple(sorted(graphs, key=canonical_key))
 
 
-def _relation_holds(kind_name: str, elements, rel: HfSet) -> bool:
-    # Property checks phrased directly over set membership.
+def _relation_holds(kind_name: str, elements, rel: HfSet, enc: dict) -> bool:
+    # Property checks phrased directly over set membership; enc[x, y] is the
+    # encoded pair (x, y).
     def related(x, y):
-        return is_member(ordered_pair(x, y), rel)
+        return is_member(enc[x, y], rel)
 
     if kind_name == "wellorder":
         for x in elements:
@@ -103,19 +111,19 @@ def _relation_holds(kind_name: str, elements, rel: HfSet) -> bool:
     raise ValueError(kind_name)
 
 
-def _count_on_carrier(elements, kind_name: str) -> int:
-    n = len(elements)
-    count = 0
-    all_pairs = [(x, y) for x in elements for y in elements]
-    for mask in range(1 << (n * n)):
-        rel = make_set(
-            ordered_pair(x, y)
-            for bit, (x, y) in enumerate(all_pairs)
-            if mask >> bit & 1
-        )
-        if _relation_holds(kind_name, elements, rel):
-            count += 1
-    return count
+def _relations_of_kind(elements, kind_name: str):
+    """Yield every subset of elements x elements, built as a set, that is a
+    relation of the given kind.
+
+    The n*n encoded pairs are built once into a table; each mask's relation
+    is assembled from it with make_set and tested by set membership.
+    """
+    enc = {(x, y): ordered_pair(x, y) for x in elements for y in elements}
+    pairs = list(enc.values())
+    for mask in range(1 << len(pairs)):
+        rel = make_set(p for bit, p in enumerate(pairs) if mask >> bit & 1)
+        if _relation_holds(kind_name, elements, rel, enc):
+            yield rel
 
 
 def _nested_singletons(n: int) -> list:
@@ -144,10 +152,13 @@ def count_orders(n: int, kind) -> int:
     if n > 4:
         raise CapExceeded(f"order counting over {n} elements exceeds cap 4")
     kind_name = _kind_name(kind)
-    count = _count_on_carrier(_von_neumann_chain(n), kind_name)
+    count = sum(1 for _ in _relations_of_kind(_von_neumann_chain(n), kind_name))
     if n <= 3:
-        other = _count_on_carrier(_nested_singletons(n), kind_name)
-        assert other == count, "order count depends on the carrier"
+        other = sum(1 for _ in _relations_of_kind(_nested_singletons(n), kind_name))
+        if other != count:
+            raise CrossCheckFailed(
+                f"order count depends on the carrier: {count} vs {other}"
+            )
     return count
 
 
@@ -164,24 +175,22 @@ class EquivalenceVerdict:
         return self.has_choice == self.all_members_have_pol
 
 
-def _pol_exists(elements) -> bool:
+# member -> does it admit a partial order with a least element?  Keyed on the
+# member itself, so a member shared by many families is scanned once.
+_pol_memo: dict = {}
+
+
+def _pol_exists(a: HfSet) -> bool:
     # Early-exit scan for any reflexive antisymmetric transitive relation
     # with a least element.  Only needed for carriers small enough to scan.
-    n = len(elements)
-    if n == 0:
-        return False
-    if n * n > 25:
-        raise CapExceeded(f"order search over {n} elements is out of scan range")
-    all_pairs = [(x, y) for x in elements for y in elements]
-    for mask in range(1 << (n * n)):
-        rel = make_set(
-            ordered_pair(x, y)
-            for bit, (x, y) in enumerate(all_pairs)
-            if mask >> bit & 1
-        )
-        if _relation_holds("pol", elements, rel):
-            return True
-    return False
+    found = _pol_memo.get(a)
+    if found is None:
+        n = len(a)
+        if n * n > 25:
+            raise CapExceeded(f"order search over {n} elements is out of scan range")
+        found = n > 0 and next(_relations_of_kind(a.children, "pol"), None) is not None
+        _pol_memo[a] = found
+    return found
 
 
 def verify_equivalence(family) -> EquivalenceVerdict:
@@ -191,7 +200,7 @@ def verify_equivalence(family) -> EquivalenceVerdict:
     # has_choice by actual enumeration, not by the member-size shortcut.
     graphs = enumerate_choice_functions(make_set(members), cap=DEFAULT_PRODUCT_CAP)
     has_choice = len(graphs) > 0
-    all_pol = all(len(a) > 0 and _pol_exists(a.children) for a in members)
+    all_pol = all(_pol_exists(a) for a in members)
     return EquivalenceVerdict(
         fingerprint=hfs_literal(make_set(members)),
         has_choice=has_choice,

@@ -23,10 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .errors import (
     CapExceeded,
+    CrossCheckFailed,
     NoLeast,
     NotAPair,
     NotLiftShaped,
@@ -279,7 +280,7 @@ def enumerate_orders(a: HfSet, kind: OrderKind, cross_check: bool = False) -> tu
     Exhaustive over the 2**(n*n) subsets of a x a, so the carrier is capped at
     4 elements.  Well-orders are generated from permutations (n! witnesses);
     ``cross_check=True`` re-derives them from the brute-force filter for
-    carriers of at most 3 elements and asserts agreement.
+    carriers of at most 3 elements and raises CrossCheckFailed on disagreement.
     """
     key = (a, kind)
     cached = _enum_cache.get(key)
@@ -312,7 +313,8 @@ def enumerate_orders(a: HfSet, kind: OrderKind, cross_check: bool = False) -> tu
                     enc[i][j] for i in range(n) for j in range(n) if rows[i] >> j & 1
                 ]
                 brute.append(relation_over(a, make_set(pairs)))
-        assert set(brute) == set(result), "permutation route disagrees with subset filter"
+        if set(brute) != set(result):
+            raise CrossCheckFailed("permutation route disagrees with subset filter")
     _enum_cache[key] = result
     return result
 

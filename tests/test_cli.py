@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +199,76 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_in(tmp_path, monkeypatch, literals, args):
+    """Run the CLI from ``tmp_path`` on ``family.json``, so the report
+    names the family file by a fixed relative path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps({"family": literals}))
+    return run_cli(["verify", "--family", "family.json"] + list(args))
+
+
+@pytest.mark.parametrize("kind", ["wellorder", "pol"])
+def test_verify_report_on_the_four_element_member_is_golden(tmp_path, monkeypatch, kind):
+    status = run_in(tmp_path, monkeypatch, ["{{},{{}},{{{}}},{{},{{}}}}"],
+                    ["--kind", kind, "--out", "r.json"])
+    assert status == 0
+    got = (tmp_path / "r.json").read_bytes()
+    assert got == (GOLDEN / f"verify_A4_{kind}.json").read_bytes()
+    assert json.loads(got)["pipeline"]["u1_size"] == 65536
+
+
+def test_u1_cap_report_is_golden(tmp_path, monkeypatch, capsys):
+    # The 3-element member's 9 pairs exceed the cap; the counted U1 must fail
+    # exactly as the materialized one did.
+    status = run_in(tmp_path, monkeypatch, ["{{}}", "{{},{{}},{{{}}}}"],
+                    ["--powerset-cap", "8"])
+    assert status == 2
+    assert capsys.readouterr().out == (GOLDEN / "verify_cap8.json").read_text()
+
+
+def test_out_to_a_missing_directory_is_a_diagnostic(tmp_path, capsys):
+    fam = write_family(tmp_path, ["{{}}"])
+    status = run_cli(["verify", "--family", fam,
+                      "--out", str(tmp_path / "nodir" / "r.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 2
+    assert report["error"]["type"] == "IoError"
+    assert "nodir" in report["error"]["message"]
+    assert report["ok"] is False
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("flags,env,named", [
+    (["--powerset-cap", "-3"], None, "--powerset-cap"),
+    (["--product-cap", "-1"], None, "--product-cap"),
+    ([], "-1,10", "ZFLAB_CAPS powerset"),
+    ([], "5,-2", "ZFLAB_CAPS product"),
+    ([], "x,10", "ZFLAB_CAPS powerset"),
+    ([], "5,1.5", "ZFLAB_CAPS product"),
+])
+def test_negative_or_non_integer_caps_rejected(tmp_path, capsys, monkeypatch,
+                                               flags, env, named):
+    if env is None:
+        monkeypatch.delenv("ZFLAB_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("ZFLAB_CAPS", env)
+    fam = write_family(tmp_path, ["{{}}"])
+    assert run_cli(["verify", "--family", fam] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+    assert "nonnegative integer" in captured.err
+
+
+def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ZFLAB_CAPS", "0,0")
+    assert run_cli(["fuzz", "--trials", "1"]) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["powerset_cap"] == 0
+    assert report["config"]["product_cap"] == 0

@@ -1,6 +1,9 @@
 """Pipeline tests: universes, separation, combined relations, choice sets."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import UNIVERSE4, to_frozen
 from zflab import oracle
@@ -15,6 +18,7 @@ from zflab.construction import (
     build_QS,
     build_U2_base,
     build_universes,
+    _u1_size,
     choice_from_Q,
     phi1_holds,
     phi3_holds,
@@ -87,6 +91,35 @@ def test_u1_matches_frozenset_model():
     for family in (RUNNING, Family.of([ONE, make_set((S1, S2))])):
         _, u1 = build_universes(family)
         assert len(u1) == model(family)
+
+
+SUBSETS4 = [make_set(c) for k in range(5) for c in itertools.combinations(UNIVERSE4, k)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4), min_size=1, max_size=4))
+@example([make_set((E, S1)), make_set((S1, S2)), make_set((S2, D))])    # overlapping
+@example([make_set((E,)), make_set((E, S1)), make_set((E, S1, S2))])   # nested
+@example([make_set((E, S1)), make_set((S2, D)), make_set((E, D))])     # equal sizes
+@example([EMPTY, make_set(UNIVERSE4)])
+def test_counted_u1_equals_the_built_u1(members):
+    fam = Family.of(members)
+    assert _u1_size(fam) == len(build_universes(fam)[1])
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 4, 8, 9])
+def test_counted_u1_fails_the_cap_as_the_built_u1_does(cap):
+    fam = Family.of([ONE, TWO, make_set((E, S1, S2))])
+
+    def outcome(size):
+        try:
+            return size()
+        except CapExceeded as e:
+            return str(e)
+
+    assert outcome(lambda: _u1_size(fam, cap)) == outcome(
+        lambda: len(build_universes(fam, cap)[1])
+    )
 
 
 def test_u2_variants_coincide_exactly_on_singletons():

@@ -1,0 +1,144 @@
+"""Cross-checks between two routes to one result raise CrossCheckFailed, and
+do so under ``python -O`` too, where an ``assert`` would vanish.
+
+Each check is broken on purpose by patching one route so that it disagrees
+with the other.  The module is also imported by a ``python -O`` subprocess,
+which runs the same breaks there.
+"""
+
+import contextlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import zflab
+from zflab import cli, construction, oracle, orders
+from zflab.construction import Family, U2Variant
+from zflab.errors import CrossCheckFailed
+from zflab.hfs import EMPTY, make_set
+from zflab.orders import OrderKind
+
+ONE = make_set((EMPTY,))
+TWO = make_set((EMPTY, ONE))
+RUNNING = Family.of([ONE, TWO])
+UNION = U2Variant.UNION_OF_PRODUCTS
+WO = OrderKind.WELL_ORDER
+
+
+@contextlib.contextmanager
+def patched(owner, name, value):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def raises_cross_check(fn) -> bool:
+    try:
+        fn()
+    except CrossCheckFailed:
+        return True
+    return False
+
+
+def break_qs_product():
+    # The product route loses one admissible order; the subset filter does not.
+    real = construction._eligible_orders
+    return patched(construction, "_eligible_orders", lambda a, kind: real(a, kind)[1:])
+
+
+def break_u1_count():
+    return patched(construction, "_u1_size", lambda family, cap: 0)
+
+
+def qs_routes_disagree() -> bool:
+    with break_qs_product():
+        return raises_cross_check(lambda: construction.build_QS(RUNNING, UNION, WO))
+
+
+def u1_routes_disagree() -> bool:
+    with break_u1_count():
+        return raises_cross_check(lambda: construction.run_pipeline(RUNNING, UNION, WO))
+
+
+def wellorder_routes_disagree() -> bool:
+    # The brute-force filter finds nothing; the permutation route still does.
+    with patched(orders, "_rows_satisfy", lambda rows, kind: False):
+        return raises_cross_check(
+            lambda: orders.enumerate_orders(TWO, WO, cross_check=True)
+        )
+
+
+def order_count_carriers_disagree() -> bool:
+    # The second carrier has one element too few.
+    with patched(oracle, "_nested_singletons",
+                 lambda n: oracle._von_neumann_chain(n - 1)):
+        return raises_cross_check(lambda: oracle.count_orders(2, "wellorder"))
+
+
+CHECKS = {
+    "build_QS": qs_routes_disagree,
+    "run_pipeline_u1": u1_routes_disagree,
+    "enumerate_orders": wellorder_routes_disagree,
+    "count_orders": order_count_carriers_disagree,
+}
+
+
+def cli_outcomes(family_path: str) -> dict:
+    """Exit status and error type of ``verify`` with each reachable check
+    broken."""
+    out = {}
+    for name, breaker in (("build_QS", break_qs_product), ("run_pipeline_u1", break_u1_count)):
+        with breaker():
+            status, rendered = cli.execute(cli.RunConfig(command="verify",
+                                                         family=family_path))
+        report = json.loads(rendered)
+        out[name] = [status, report["error"]["type"], report["ok"]]
+    return out
+
+
+def caught() -> dict:
+    return {name: check() for name, check in CHECKS.items()}
+
+
+def write_running(tmp_path) -> str:
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": ["{{}}", "{{},{{}}}"]}))
+    return str(path)
+
+
+EXPECTED_CLI = dict.fromkeys(("build_QS", "run_pipeline_u1"), [1, "CrossCheckFailed", False])
+
+
+def test_each_cross_check_raises_when_its_routes_disagree():
+    assert caught() == dict.fromkeys(CHECKS, True)
+
+
+def test_cli_reports_a_failed_cross_check_with_exit_1(tmp_path):
+    assert cli_outcomes(write_running(tmp_path)) == EXPECTED_CLI
+
+
+def test_cross_checks_survive_python_O(tmp_path):
+    code = (
+        "import json, sys, test_cross_checks as t; "
+        "print(json.dumps([__debug__, t.caught(), t.cli_outcomes(sys.argv[1])]))"
+    )
+    src = Path(zflab.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent), str(src)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, write_running(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug, got, cli_got = json.loads(proc.stdout.splitlines()[-1])
+    assert debug is False
+    assert got == dict.fromkeys(CHECKS, True)
+    assert cli_got == EXPECTED_CLI

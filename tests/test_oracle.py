@@ -126,6 +126,17 @@ def test_verify_equivalence_with_an_empty_member():
     assert verdict.agree
 
 
+def test_memoized_pol_search_matches_a_fresh_scan(monkeypatch):
+    subsets = [make_set(c) for k in range(5)
+               for c in itertools.combinations(UNIVERSE4, k)]
+    assert len(subsets) == 16
+    monkeypatch.setattr(oracle, "_pol_memo", {})
+    fresh = [oracle._pol_exists(a) for a in subsets]
+    assert set(oracle._pol_memo) == set(subsets)
+    memoized = [oracle._pol_exists(a) for a in subsets]
+    assert memoized == fresh == [len(a) > 0 for a in subsets]
+
+
 def test_verify_equivalence_pol_side_matches_order_enumeration():
     for fam in (make_set((ONE,)), make_set((TWO, make_set((S1, S2)))),
                 make_set((EMPTY, ONE))):
