@@ -159,7 +159,7 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
         failures.append("choice existence and per-member orderability disagree")
 
     checks = {}
-    fcs = build_Fc(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
+    fcs = pipeline.fcs
     if variant is U2Variant.UNION_OF_PRODUCTS:
         expected = oracle.enumerate_choice_functions(family, cap=cfg.product_cap)
         match = tuple(cf.graph for cf in fcs) == expected
@@ -173,8 +173,7 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
 
     k = len(family.members) * len(family.union)
     if k <= 16:
-        direct = build_Fc_literal(family, variant, kind, max(cfg.powerset_cap, k),
-                                  cfg.product_cap)
+        direct = build_Fc_literal(family, pipeline.qs, max(cfg.powerset_cap, k))
         agree = [cf.graph for cf in direct] == [cf.graph for cf in fcs]
         checks["route_agreement"] = agree
         if not agree:
@@ -207,7 +206,7 @@ def _enumerate(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
         })
     report["members"] = members
     qs = build_QS(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
-    fcs = build_Fc(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
+    fcs = build_Fc(family, qs)
     report["q_s"] = {
         "size": len(qs),
         "relations": [hfs_literal(q) for q in qs.children],
@@ -251,8 +250,9 @@ def _fuzz(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
             failures.append(f"trial {trial}: equivalence disagreement on {literal}")
             continue
         try:
-            fcs = build_Fc(family, U2Variant.UNION_OF_PRODUCTS, kind,
-                           cfg.powerset_cap, cfg.product_cap)
+            qs = build_QS(family, U2Variant.UNION_OF_PRODUCTS, kind,
+                          cfg.powerset_cap, cfg.product_cap)
+            fcs = build_Fc(family, qs)
             expected = oracle.enumerate_choice_functions(family, cap=cfg.product_cap)
         except CapExceeded:
             skipped += 1
@@ -432,55 +432,48 @@ def _build_parser() -> argparse.ArgumentParser:
                     "hereditarily finite sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run the pipeline and the oracle side by side"),
-        ("enumerate", "dump orders, combined relations, and choice functions"),
-        ("fuzz", "run seeded random families through every invariant"),
-        ("intervals", "rational-interval choice demo and sample checks"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--family", help="path to a family file")
-        cmd.add_argument("--kind", choices=sorted(_KINDS), default="wellorder")
+    verify = sub.add_parser("verify", help="run the pipeline and the oracle side by side")
+    enum = sub.add_parser("enumerate",
+                          help="dump orders, combined relations, and choice functions")
+    fuzz = sub.add_parser("fuzz", help="run seeded random families through every invariant")
+    intervals = sub.add_parser("intervals",
+                               help="rational-interval choice demo and sample checks")
+    # Each command takes only the flags it reads; RunConfig's defaults fill
+    # in the rest of the report's config block.
+    for cmd in (verify, enum):
+        cmd.add_argument("--family", required=True, help="path to a family file")
         cmd.add_argument("--u2", choices=sorted(_VARIANTS), default="union")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--trials", type=int, default=100)
-        cmd.add_argument("--allow-empty", action="store_true")
-        cmd.add_argument("--out", help="write the report here instead of stdout")
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
+    for cmd in (verify, enum, fuzz):
+        cmd.add_argument("--kind", choices=sorted(_KINDS), default="wellorder")
         cmd.add_argument("--powerset-cap", type=int)
         cmd.add_argument("--product-cap", type=int)
-        if name == "intervals":
-            cmd.add_argument("literals", nargs="*",
-                             help="interval literals such as [1,3] or (0,+inf)")
+    for cmd in (fuzz, intervals):
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--trials", type=int, default=100)
+    fuzz.add_argument("--allow-empty", action="store_true")
+    intervals.add_argument("literals", nargs="*",
+                           help="interval literals such as [1,3] or (0,+inf)")
+    for cmd in (verify, enum, fuzz, intervals):
+        cmd.add_argument("--out", help="write the report here instead of stdout")
+        cmd.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command in ("verify", "enumerate") and not args.family:
-        print("error: --family is required for this command", file=sys.stderr)
-        return 2
     try:
-        powerset_cap, product_cap = _resolve_caps(
-            os.environ.get("ZFLAB_CAPS"), args.powerset_cap, args.product_cap
+        args = vars(_build_parser().parse_args(argv))
+    except SystemExit as e:  # usage errors (exit 2) and --help (exit 0)
+        return e.code
+    try:
+        args["powerset_cap"], args["product_cap"] = _resolve_caps(
+            os.environ.get("ZFLAB_CAPS"), args.get("powerset_cap"), args.get("product_cap")
         )
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    cfg = RunConfig(
-        command=args.command,
-        family=args.family,
-        kind=args.kind,
-        u2=args.u2,
-        seed=args.seed,
-        trials=args.trials,
-        allow_empty=args.allow_empty,
-        out=args.out,
-        format=args.format,
-        powerset_cap=powerset_cap,
-        product_cap=product_cap,
-        literals=tuple(getattr(args, "literals", ())),
-    )
+    if "literals" in args:
+        args["literals"] = tuple(args["literals"])
+    cfg = RunConfig(**args)
     status, rendered = execute(cfg)
     if cfg.out:
         try:

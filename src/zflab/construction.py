@@ -4,9 +4,11 @@ Starting from a family, every member A is tagged into P_A = {A} x A, each
 member's admissible orders are transported onto its tagged copy, and a
 combined relation Q collects one transported order per member.  The set Q_S
 of all such combined relations is carved out of a universe of candidate
-relations by the per-member order condition; each Q then yields one choice
-function by taking the least element of every member's restriction, and F_c
-collects them all.
+relations by the per-member order condition.  F_c is then taken from Q_S by
+two routes that read the same Q_S: :func:`build_Fc` takes the least element
+of every member's restriction of each Q, and :func:`build_Fc_literal`
+separates F_c out of the powerset of A_S x A_U.  A run builds Q_S once and
+hands it to both.
 
 The candidate universe U2 is deliberately built in two inequivalent ways:
 
@@ -20,6 +22,10 @@ The candidate universe U2 is deliberately built in two inequivalent ways:
   directly and, at micro scale, re-derives it from the subset filter and
   raises CrossCheckFailed unless the two agree.
 
+The sizes of U1 and U2 are counted, not built.  U1 is also built as a
+cross-check while members are small (see :func:`run_pipeline`), and the
+literal U2 is materialized only where its Q_S is filtered out of it.
+
 Orders participate only when they have a least element, since the choice
 extraction takes exactly that least; on nonempty carriers every admissible
 order qualifies, while the vacuous orders on an empty member qualify never,
@@ -29,9 +35,9 @@ which is why a family containing the empty set ends with Q_S and F_c empty.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, NoLeast, NotAPair
 from .hfs import (
@@ -198,12 +204,6 @@ def _u1_size(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) -> int:
     return sum(c * 2 ** (len(common) ** 2) for common, c in coeffs.items())
 
 
-def _member_products(family: Family) -> list:
-    return [
-        (a, cartesian(build_PA(a), build_PA(a))) for a in family.members.children
-    ]
-
-
 def build_U2_base(family: Family, variant: U2Variant,
                   powerset_cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
     """The second candidate universe U2, materialized.
@@ -212,68 +212,74 @@ def build_U2_base(family: Family, variant: U2Variant,
     takes the powerset of the union of the P_A x P_A themselves.  The two
     coincide exactly on singleton families.
     """
+    products = [cartesian(build_PA(a), build_PA(a)) for a in family.members.children]
     if variant is U2Variant.LITERAL:
-        subsets = []
-        for _, product in _member_products(family):
-            subsets.extend(powerset(product, cap=powerset_cap).children)
-        return make_set(subsets)
-    if variant is U2Variant.UNION_OF_PRODUCTS:
-        base = make_set(
-            p for _, product in _member_products(family) for p in product.children
+        return make_set(
+            q for product in products for q in powerset(product, cap=powerset_cap).children
         )
+    if variant is U2Variant.UNION_OF_PRODUCTS:
+        base = make_set(p for product in products for p in product.children)
         return powerset(base, cap=powerset_cap)
     raise TypeError(f"unknown variant: {variant!r}")
 
 
+def _u2_sizes(family: Family, variant: U2Variant) -> tuple:
+    """(|union base|, |U2|) for :func:`build_U2_base`, counted.
+
+    Members are distinct, so their tagged products P_A x P_A are disjoint and
+    the union base has sum |A|^2 pairs.  The literal powersets of those
+    products share only the empty relation.
+    """
+    squares = [len(a) ** 2 for a in family.members.children]
+    if variant is U2Variant.LITERAL:
+        return sum(squares), sum(2 ** n for n in squares) - (len(squares) - 1)
+    return sum(squares), 2 ** sum(squares)
+
+
 # --- per-member order machinery, cached --------------------------------------
 
-# The pipeline admits an order only when it has a least element (the choice
-# extraction needs one).  On nonempty carriers this filters nothing.
-_eligible_cache: dict = {}
-# (member, kind) -> tuple of (relation, lifted pair-node tuple, least element)
-_lift_index_cache: dict = {}
-# (member, kind) -> set of lifted pair-node tuples, for the separation test
-_enc_cache: dict = {}
-# member -> ({m: (A,m) node}, {(m, b): ((A,m),(A,b)) node})
+class _MemberRecord(NamedTuple):
+    """What the pipeline derives once per (member, kind).
+
+    The pipeline admits an order only when it has a least element (the
+    choice extraction needs one); on nonempty carriers this filters nothing.
+    """
+
+    orders: tuple      # (relation, lifted pair-node tuple, least element)
+    lifted: frozenset  # those lifted tuples, for the separation test
+    slices: dict       # _cross_check_qs's memo: product-pair submask -> valid?
+
+
+_member_cache: dict = {}  # (member, kind) -> _MemberRecord
+_enc_cache: dict = {}     # member -> {(m, b): ((A,m),(A,b)) node}
+
+
+def _member_record(a: HfSet, kind: OrderKind) -> _MemberRecord:
+    key = (a, kind)
+    record = _member_cache.get(key)
+    if record is None:
+        orders = []
+        for r in enumerate_orders(a, kind):
+            universal = _universal_indices(r.rows)
+            if len(universal) == 1:
+                orders.append((r, lift_order(r).pairs.children, r.elements[universal[0]]))
+        lifted = frozenset(children for _, children, _ in orders)
+        record = _MemberRecord(tuple(orders), lifted, {})
+        _member_cache[key] = record
+    return record
 
 
 def _eligible_orders(a: HfSet, kind: OrderKind) -> tuple:
-    key = (a, kind)
-    cached = _eligible_cache.get(key)
-    if cached is None:
-        entries = []
-        for r in enumerate_orders(a, kind):
-            universal = _universal_indices(r.rows)
-            if len(universal) != 1:
-                continue
-            lifted = lift_order(r)
-            entries.append((r, lifted.pairs.children, r.elements[universal[0]]))
-        cached = tuple(entries)
-        _eligible_cache[key] = cached
-    return cached
+    return _member_record(a, kind).orders
 
 
-def _lift_index(a: HfSet, kind: OrderKind) -> set:
-    key = (a, kind)
-    cached = _lift_index_cache.get(key)
-    if cached is None:
-        cached = {children for _, children, _ in _eligible_orders(a, kind)}
-        _lift_index_cache[key] = cached
-    return cached
-
-
-def _enc_tables(a: HfSet) -> tuple:
-    cached = _enc_cache.get(a)
-    if cached is None:
+def _enc_table(a: HfSet) -> dict:
+    enc = _enc_cache.get(a)
+    if enc is None:
         tag = {m: ordered_pair(a, m) for m in a.children}
-        enc = {
-            (m, b): ordered_pair(tag[m], tag[b])
-            for m in a.children
-            for b in a.children
-        }
-        cached = (tag, enc)
-        _enc_cache[a] = cached
-    return cached
+        enc = {(m, b): ordered_pair(tag[m], tag[b]) for m in a.children for b in a.children}
+        _enc_cache[a] = enc
+    return enc
 
 
 def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
@@ -298,7 +304,7 @@ def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
         if bucket is not None:
             bucket.append(p)
     return all(
-        tuple(buckets[a]) in _lift_index(a, kind) for a in members
+        tuple(buckets[a]) in _member_record(a, kind).lifted for a in members
     )
 
 
@@ -338,17 +344,6 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
     return qs
 
 
-def _slice_validity(a: HfSet, kind: OrderKind) -> dict:
-    # Lazily filled: submask over the member's product pairs -> is it the
-    # tagged copy of an admissible order with a least element?
-    key = (a, kind, "slices")
-    cached = _lift_index_cache.get(key)
-    if cached is None:
-        cached = {}
-        _lift_index_cache[key] = cached
-    return cached
-
-
 def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
     """Re-derive Q_S by filtering every subset of the union base."""
     members = family.members.children
@@ -381,7 +376,7 @@ def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
 
     filtered = set()
     memos = [
-        (a, coords, len(a.children), _slice_validity(a, kind))
+        (a, coords, len(a.children), _member_record(a, kind).slices)
         for a, _, coords in position_maps
     ]
     for mask in range(1 << total):
@@ -434,7 +429,7 @@ def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
     present = frozenset(q.children)
     graph = []
     for a in family.members.children:
-        tag, enc = _enc_tables(a)
+        enc = _enc_table(a)
         winners = [
             m
             for m in a.children
@@ -448,7 +443,9 @@ def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
     return ChoiceFunction(make_set(graph))
 
 
-def _choices_from_qs(qs: HfSet, family: Family) -> tuple:
+def build_Fc(family: Family, qs: HfSet) -> tuple:
+    """The choice functions of the combined relations in ``qs``, taken by
+    least elements and canonically ordered."""
     seen = {}
     for q in qs.children:
         cf = choice_from_Q(q, family)
@@ -456,28 +453,19 @@ def _choices_from_qs(qs: HfSet, family: Family) -> tuple:
     return tuple(seen[g] for g in sorted(seen, key=canonical_key))
 
 
-def build_Fc(family: Family, variant: U2Variant, kind: OrderKind,
-             powerset_cap: int = DEFAULT_POWERSET_CAP,
-             product_cap: int = DEFAULT_PRODUCT_CAP) -> tuple:
-    """All choice functions harvested from Q_S, canonically ordered."""
-    qs = build_QS(family, variant, kind, powerset_cap, product_cap)
-    return _choices_from_qs(qs, family)
-
-
-def build_Fc_literal(family: Family, variant: U2Variant, kind: OrderKind,
-                     powerset_cap: int = DEFAULT_POWERSET_CAP,
-                     product_cap: int = DEFAULT_PRODUCT_CAP) -> tuple:
+def build_Fc_literal(family: Family, qs: HfSet,
+                     powerset_cap: int = DEFAULT_POWERSET_CAP) -> tuple:
     """The choice set separated literally from the powerset of A_S x A_U.
 
     Every subset of A_S x A_U is tested: it belongs iff some combined
-    relation Q makes the subset's pairs exactly the tagged-least pairs of Q.
-    Must coincide with :func:`build_Fc`; exponential in |A_S| * |A_U|.
+    relation Q in ``qs`` makes the subset's pairs exactly the tagged-least
+    pairs of Q.  Must coincide with :func:`build_Fc` on the same ``qs``;
+    exponential in |A_S| * |A_U|.
     """
     candidates = cartesian(family.members, family.union).children
     k = len(candidates)
     if k > powerset_cap:
         raise CapExceeded(f"separation over {k} candidate pairs exceeds cap {powerset_cap}")
-    qs = build_QS(family, variant, kind, powerset_cap, product_cap)
     bit_of = {p: i for i, p in enumerate(candidates)}
 
     valid_masks = set()
@@ -528,7 +516,8 @@ def phi3_holds(r: Relation, a: HfSet, f: ChoiceFunction) -> bool:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Flat, serialization-ready summary of one pipeline run."""
+    """Flat, serialization-ready summary of one pipeline run; ``qs`` and
+    ``fcs`` carry the Q_S and F_c it built and stay out of :meth:`to_dict`."""
 
     variant: str
     kind: str
@@ -541,6 +530,8 @@ class PipelineReport:
     q_s_empty: bool
     f_c_all_valid: bool
     witnesses: dict
+    qs: HfSet = field(repr=False)
+    fcs: tuple = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -563,23 +554,18 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
                  product_cap: int = DEFAULT_PRODUCT_CAP) -> PipelineReport:
     """Run the whole construction and report sizes and witnesses.
 
-    U1 is counted, not built.  While no member has more than 3 elements
-    (U1 at most 2^9 sets per member) it is also built and must match.
+    Q_S is built once and F_c taken from it by least elements.  U1 and U2
+    are counted.  While no member has more than 3 elements (U1 at most 2^9
+    sets per member) U1 is also built and must match.
     """
     u1_size = _u1_size(family, powerset_cap)
     if all(len(a) <= 3 for a in family.members.children):
         built = len(build_universes(family, powerset_cap)[1])
         if built != u1_size:
             raise CrossCheckFailed(f"counted |U1| {u1_size} != built |U1| {built}")
-    base = make_set(
-        p for _, product in _member_products(family) for p in product.children
-    )
-    if variant is U2Variant.LITERAL:
-        u2_size = len(build_U2_base(family, variant, powerset_cap))
-    else:
-        u2_size = 2 ** len(base)
+    u2_base_size, u2_size = _u2_sizes(family, variant)
     qs = build_QS(family, variant, kind, powerset_cap, product_cap)
-    fcs = _choices_from_qs(qs, family)
+    fcs = build_Fc(family, qs)
     witnesses = {
         "choice_functions": [hfs_literal(cf.graph) for cf in fcs[:3]],
         "combined_relations": [hfs_literal(q) for q in qs.children[:1]],
@@ -589,11 +575,13 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
         kind=kind.value,
         family=hfs_literal(family.members),
         u1_size=u1_size,
-        u2_base_size=len(base),
+        u2_base_size=u2_base_size,
         u2_size=u2_size,
         qs_size=len(qs),
         fc_size=len(fcs),
         q_s_empty=len(qs) == 0,
         f_c_all_valid=all(cf.is_valid_for(family) for cf in fcs),
         witnesses=witnesses,
+        qs=qs,
+        fcs=fcs,
     )

@@ -8,8 +8,8 @@ weak intern table purely as an optimization; equality is content-based and
 never depends on sharing.
 
 The literal grammar is ``set := '{' (set (',' set)*)? '}'`` with insignificant
-whitespace.  The empty set prints as ``{}``; emission always uses canonical
-child order.
+whitespace, nested at most ``MAX_LITERAL_DEPTH`` braces deep.  The empty set
+prints as ``{}``; emission always uses canonical child order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import CapExceeded, NotAPair, ParseError
 __all__ = [
     "DEFAULT_POWERSET_CAP",
     "EMPTY",
+    "MAX_LITERAL_DEPTH",
     "HfSet",
     "OrderedPairView",
     "canonical_compare",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 DEFAULT_POWERSET_CAP = 20
+# Parsed literals nest at most this deep.  Deeper sets would outrun the
+# interpreter's recursion limit, in the parser and printer and in comparing
+# the canonical keys of two deep sets of equal rank.
+MAX_LITERAL_DEPTH = 256
 
 
 class HfSet:
@@ -231,12 +236,12 @@ def cartesian(a: HfSet, b: HfSet) -> HfSet:
 
 def hfs_literal(s: HfSet) -> str:
     """Canonical literal text for ``s``."""
-    return "{" + ",".join(hfs_literal(c) for c in s.children) + "}"
+    return "{" + ",".join(map(hfs_literal, s.children)) + "}"
 
 
 def parse_hfs(text: str) -> HfSet:
     """Parse a set literal; whitespace is insignificant."""
-    value, pos = _parse_set(text, _skip_ws(text, 0))
+    value, pos = _parse_set(text, _skip_ws(text, 0), 1)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError("trailing input after set literal", pos)
@@ -249,15 +254,17 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_set(text: str, pos: int) -> tuple[HfSet, int]:
+def _parse_set(text: str, pos: int, depth: int) -> tuple[HfSet, int]:
     if pos >= len(text) or text[pos] != "{":
         raise ParseError("expected '{'", pos)
+    if depth > MAX_LITERAL_DEPTH:
+        raise ParseError(f"set literal nested deeper than {MAX_LITERAL_DEPTH}", pos)
     pos = _skip_ws(text, pos + 1)
     elems = []
     if pos < len(text) and text[pos] == "}":
         return make_set(elems), pos + 1
     while True:
-        elem, pos = _parse_set(text, pos)
+        elem, pos = _parse_set(text, pos, depth + 1)
         elems.append(elem)
         pos = _skip_ws(text, pos)
         if pos >= len(text):

@@ -89,9 +89,9 @@ def _relation_holds(kind_name: str, elements, rel: HfSet, enc: dict) -> bool:
                         return False
         return True
     if kind_name == "pol":
+        if not all(related(x, x) for x in elements):
+            return False
         for x in elements:
-            if not related(x, x):
-                return False
             for y in elements:
                 if x != y and related(x, y) and related(y, x):
                     return False

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from zflab import cli
+from zflab import cli, construction
 from zflab.errors import EmptyFamily, ParseError
-from zflab.hfs import EMPTY, make_set
+from zflab.hfs import EMPTY, MAX_LITERAL_DEPTH, make_set
 
 
 def write_family(tmp_path, literals, name="family.json"):
@@ -204,12 +204,12 @@ def test_module_entry_point_runs():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_in(tmp_path, monkeypatch, literals, args):
+def run_in(tmp_path, monkeypatch, literals, args, command="verify"):
     """Run the CLI from ``tmp_path`` on ``family.json``, so the report
     names the family file by a fixed relative path."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "family.json").write_text(json.dumps({"family": literals}))
-    return run_cli(["verify", "--family", "family.json"] + list(args))
+    return run_cli([command, "--family", "family.json"] + list(args))
 
 
 @pytest.mark.parametrize("kind", ["wellorder", "pol"])
@@ -272,3 +272,112 @@ def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["powerset_cap"] == 0
     assert report["config"]["product_cap"] == 0
+
+
+@pytest.mark.parametrize("golden,literals,args", [
+    ("verify_literal_two_members", ["{{},{{}}}", "{{{}},{{{}}}}"], ["--u2", "literal"]),
+    ("verify_route_agreement_pol", ["{{}}", "{{},{{}}}", "{{{}},{{},{{}}}}"],
+     ["--kind", "pol"]),
+    ("enumerate_wellorder", ["{{},{{}}}", "{{},{{}},{{{}}}}"], ["--kind", "wellorder"]),
+    ("enumerate_pol", ["{{},{{}}}", "{{},{{}},{{{}}}}"], ["--kind", "pol"]),
+])
+def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
+    command = golden.split("_")[0]
+    status = run_in(tmp_path, monkeypatch, literals, args + ["--out", "r.json"],
+                    command=command)
+    assert status == 0
+    assert (tmp_path / "r.json").read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` by rebinding it in every zflab module that holds
+    it, so calls from inside the package are counted too."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "zflab" or name.startswith("zflab.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command,u2", [
+    ("verify", "union"), ("verify", "literal"),
+    ("enumerate", "union"), ("enumerate", "literal"),
+])
+def test_each_command_builds_q_s_and_f_c_once(tmp_path, monkeypatch, command, u2):
+    # Two members over a 2-element union, so the Q_S cross-check runs, and in
+    # verify the separation route too.
+    qs_calls = count_calls(monkeypatch, construction.build_QS)
+    fc_calls = count_calls(monkeypatch, construction.build_Fc)
+    fam = write_family(tmp_path, ["{{}}", "{{},{{}}}"])
+    assert run_cli([command, "--family", fam, "--u2", u2,
+                    "--out", str(tmp_path / "r.json")]) == 0
+    assert (len(qs_calls), len(fc_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--u2", "literal"],
+    ["fuzz", "--family", "f.json"],
+    ["intervals", "--family", "f.json"],
+    ["intervals", "--kind", "pol"],
+    ["intervals", "--u2", "literal"],
+    ["intervals", "--allow-empty"],
+    ["intervals", "--powerset-cap", "3"],
+    ["verify", "--family", "f.json", "--seed", "3"],
+    ["verify", "--family", "f.json", "--trials", "3"],
+    ["enumerate", "--family", "f.json", "--allow-empty"],
+])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    assert run_cli(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The argv shapes perfbench/workloads.py issues, each followed by --out.
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "f.json", "--kind", "wellorder"],
+    ["verify", "--family", "f.json", "--kind", "pol", "--u2", "literal"],
+    ["enumerate", "--family", "f.json", "--kind", "pol"],
+    ["fuzz", "--trials", "25", "--seed", "7", "--kind", "pol", "--allow-empty"],
+    ["intervals", "--trials", "200", "--seed", "7"],
+])
+def test_benchmark_argv_shapes_parse(argv):
+    args = cli._build_parser().parse_args(argv + ["--out", "r.json"])
+    assert (args.command, args.out) == (argv[0], "r.json")
+
+
+def wrapped(inner: str, times: int) -> str:
+    return "{" * times + inner + "}" * times
+
+
+# Two members of equal rank that differ only at the bottom, so comparing
+# them walks their whole depth: {{{}}} and {{},{{}}} are 3 deep.
+DEEP_PAIR_PAST = [wrapped("{{{}}}", MAX_LITERAL_DEPTH - 2),
+                  wrapped("{{},{{}}}", MAX_LITERAL_DEPTH - 2)]
+DEEP_PAIR_AT = [wrapped("{{{}}}", MAX_LITERAL_DEPTH - 3),
+                wrapped("{{},{{}}}", MAX_LITERAL_DEPTH - 3)]
+
+
+@pytest.mark.parametrize("literals", [[wrapped("{}", 2999)], DEEP_PAIR_PAST])
+def test_literals_nested_past_the_bound_are_a_diagnostic(tmp_path, capsys, literals):
+    status = run_cli(["verify", "--family", write_family(tmp_path, literals)])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 2
+    assert report["error"]["type"] == "ParseError"
+    assert f"deeper than {MAX_LITERAL_DEPTH}" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("literals", [[wrapped("{}", MAX_LITERAL_DEPTH - 1)], DEEP_PAIR_AT])
+def test_literals_nested_to_the_bound_verify_completely(tmp_path, capsys, literals):
+    status = run_cli(["verify", "--family", write_family(tmp_path, literals)])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert report["ok"] is True
+    assert report["cross_checks"] == {"oracle_fc_match": True, "route_agreement": True,
+                                      "induced_order_roundtrip": True}
+    assert report["pipeline"]["fc_size"] == 1  # every member is a singleton

@@ -19,6 +19,7 @@ from zflab.construction import (
     build_U2_base,
     build_universes,
     _u1_size,
+    _u2_sizes,
     choice_from_Q,
     phi1_holds,
     phi3_holds,
@@ -120,6 +121,28 @@ def test_counted_u1_fails_the_cap_as_the_built_u1_does(cap):
     assert outcome(lambda: _u1_size(fam, cap)) == outcome(
         lambda: len(build_universes(fam, cap)[1])
     )
+
+
+SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3))
+@example([EMPTY])
+@example([EMPTY, make_set((E, S1)), make_set((S1, S2, D))])
+@example([make_set((E, S1, S2)), make_set((S1, S2, D)), make_set((E, D))])
+@example([make_set((E,)), make_set((E, S1)), make_set((S2, D))])  # 9 union pairs
+def test_counted_u2_sizes_equal_the_built_u2(members):
+    fam = Family.of(members)
+    base = make_set(
+        p for a in fam for p in cartesian(build_PA(a), build_PA(a)).children
+    )
+    literal = build_U2_base(fam, U2Variant.LITERAL)
+    assert _u2_sizes(fam, U2Variant.LITERAL) == (len(base), len(literal))
+    base_size, union_size = _u2_sizes(fam, U2Variant.UNION_OF_PRODUCTS)
+    assert base_size == len(base)
+    if len(base) <= 12:
+        assert union_size == len(build_U2_base(fam, U2Variant.UNION_OF_PRODUCTS))
 
 
 def test_u2_variants_coincide_exactly_on_singletons():
@@ -238,7 +261,7 @@ def test_choice_function_validation():
 
 def test_build_fc_matches_oracle_on_running_example():
     for kind in OrderKind:
-        fcs = build_Fc(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind)
+        fcs = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind))
         got = tuple(cf.graph for cf in fcs)
         assert got == oracle.enumerate_choice_functions(RUNNING)
         assert all(cf.is_valid_for(RUNNING) for cf in fcs)
@@ -246,16 +269,17 @@ def test_build_fc_matches_oracle_on_running_example():
 
 def test_build_fc_literal_route_agrees():
     for kind in OrderKind:
-        direct = build_Fc_literal(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind)
-        closed = build_Fc(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind)
+        qs = build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind)
+        direct = build_Fc_literal(RUNNING, qs)
+        closed = build_Fc(RUNNING, qs)
         assert [cf.graph for cf in direct] == [cf.graph for cf in closed]
 
 
 def test_build_fc_literal_cap():
     fam = Family.of([make_set(UNIVERSE4)])
     with pytest.raises(CapExceeded):
-        build_Fc_literal(fam, U2Variant.UNION_OF_PRODUCTS,
-                         OrderKind.WELL_ORDER, powerset_cap=3)
+        build_Fc_literal(fam, build_QS(fam, U2Variant.UNION_OF_PRODUCTS,
+                                       OrderKind.WELL_ORDER), powerset_cap=3)
 
 
 def test_product_cap():
@@ -279,12 +303,13 @@ def test_fc_selection_formula_evaluated_literally():
     )
     env = {"QS": qs, "F": fam.members, "U": fam.union}
     got = separation(candidates, "f", phi, env)
-    expected = build_Fc(fam, U2Variant.UNION_OF_PRODUCTS, kind)
+    expected = build_Fc(fam, qs)
     assert list(got.children) == [cf.graph for cf in expected]
 
 
 def test_theorem4_order_is_pol_with_chosen_least():
-    fcs = build_Fc(RUNNING, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
+    fcs = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS,
+                                     OrderKind.WELL_ORDER))
     for cf in fcs:
         for a in RUNNING:
             r = theorem4_order_from_choice(a, cf)
@@ -293,7 +318,8 @@ def test_theorem4_order_is_pol_with_chosen_least():
 
 
 def test_phi3_rejects_other_relations():
-    cf = build_Fc(RUNNING, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)[0]
+    cf = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS,
+                                    OrderKind.WELL_ORDER))[0]
     r = theorem4_order_from_choice(TWO, cf)
     other = enumerate_orders(TWO, OrderKind.UNIQUE_UNIVERSAL)
     mismatches = [q for q in other if q != r]

@@ -9,6 +9,7 @@ from helpers import UNIVERSE4, UNIVERSE5, frozen_pair, frozen_powerset, to_froze
 from zflab.errors import CapExceeded, NotAPair, ParseError
 from zflab.hfs import (
     EMPTY,
+    MAX_LITERAL_DEPTH,
     HfSet,
     canonical_compare,
     canonical_key,
@@ -73,6 +74,24 @@ def test_parse_error_carries_offset():
     with pytest.raises(ParseError) as err:
         parse_hfs("{{},}")
     assert "offset" in str(err.value)
+
+
+def nested(depth: int) -> str:
+    """The literal of ``depth`` nested braces: {{...{}...}}."""
+    return "{" * depth + "}" * depth
+
+
+def test_parse_accepts_literals_nested_to_the_bound():
+    s = parse_hfs(nested(MAX_LITERAL_DEPTH))
+    assert s.rank == MAX_LITERAL_DEPTH - 1
+    assert hfs_literal(s) == nested(MAX_LITERAL_DEPTH)
+
+
+@pytest.mark.parametrize("depth", [MAX_LITERAL_DEPTH + 1, 3000])
+def test_parse_rejects_literals_nested_past_the_bound(depth):
+    with pytest.raises(ParseError) as err:
+        parse_hfs(nested(depth))
+    assert err.value.position == MAX_LITERAL_DEPTH
 
 
 def test_canonical_order_is_total_and_consistent():
