@@ -93,12 +93,13 @@ def load_family(path: str) -> Family:
     return Family.of(members)
 
 
-def _cap_value(name: str, value) -> int:
-    # Caps bound enumeration sizes, so they are nonnegative integers.
+def _nonnegative(name: str, value) -> int:
+    # Caps bound enumeration sizes and --trials counts runs, so each is a
+    # nonnegative integer.
     try:
-        cap = int(value)
-        if cap >= 0:
-            return cap
+        number = int(value)
+        if number >= 0:
+            return number
     except ValueError:
         pass
     raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
@@ -113,13 +114,13 @@ def _resolve_caps(env: Optional[str], powerset_flag: Optional[int],
         if len(parts) != 2:
             raise ParseError(f"ZFLAB_CAPS must be 'powerset,product', got {env!r}")
         if parts[0].strip():
-            powerset_cap = _cap_value("the ZFLAB_CAPS powerset cap", parts[0])
+            powerset_cap = _nonnegative("the ZFLAB_CAPS powerset cap", parts[0])
         if parts[1].strip():
-            product_cap = _cap_value("the ZFLAB_CAPS product cap", parts[1])
+            product_cap = _nonnegative("the ZFLAB_CAPS product cap", parts[1])
     if powerset_flag is not None:
-        powerset_cap = _cap_value("--powerset-cap", powerset_flag)
+        powerset_cap = _nonnegative("--powerset-cap", powerset_flag)
     if product_flag is not None:
-        product_cap = _cap_value("--product-cap", product_flag)
+        product_cap = _nonnegative("--product-cap", product_flag)
     return powerset_cap, product_cap
 
 
@@ -468,6 +469,8 @@ def main(argv=None) -> int:
         args["powerset_cap"], args["product_cap"] = _resolve_caps(
             os.environ.get("ZFLAB_CAPS"), args.get("powerset_cap"), args.get("product_cap")
         )
+        if "trials" in args:
+            _nonnegative("--trials", args["trials"])
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -22,6 +22,10 @@ The candidate universe U2 is deliberately built in two inequivalent ways:
   directly and, at micro scale, re-derives it from the subset filter and
   raises CrossCheckFailed unless the two agree.
 
+Each member's P_A x P_A is encoded once, into a cached table of its pairs
+((A,x),(A,y)) with their coordinates in A; the transported orders, U2, the
+Q_S cross-check and both F_c routes read that table.
+
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
 cross-check while members are small (see :func:`run_pipeline`), and the
 literal U2 is materialized only where its Q_S is filtered out of it.
@@ -59,7 +63,6 @@ from .orders import (
     _rows_satisfy,
     _universal_indices,
     enumerate_orders,
-    lift_order,
     relation_over,
 )
 
@@ -212,7 +215,7 @@ def build_U2_base(family: Family, variant: U2Variant,
     takes the powerset of the union of the P_A x P_A themselves.  The two
     coincide exactly on singleton families.
     """
-    products = [cartesian(build_PA(a), build_PA(a)) for a in family.members.children]
+    products = [_tagged_pairs(a).product for a in family.members.children]
     if variant is U2Variant.LITERAL:
         return make_set(
             q for product in products for q in powerset(product, cap=powerset_cap).children
@@ -236,7 +239,15 @@ def _u2_sizes(family: Family, variant: U2Variant) -> tuple:
     return sum(squares), 2 ** sum(squares)
 
 
-# --- per-member order machinery, cached --------------------------------------
+# --- per-member machinery, cached --------------------------------------------
+
+class _PairTable(NamedTuple):
+    """A member's P_A x P_A, encoded once."""
+
+    product: HfSet  # its children: ((A,x),(A,y)) for x, y in A, canonically ordered
+    coords: tuple   # per child, (i, j) with x, y = A.children[i], A.children[j]
+    enc: dict       # (x, y) -> ((A,x),(A,y))
+
 
 class _MemberRecord(NamedTuple):
     """What the pipeline derives once per (member, kind).
@@ -245,41 +256,49 @@ class _MemberRecord(NamedTuple):
     choice extraction needs one); on nonempty carriers this filters nothing.
     """
 
-    orders: tuple      # (relation, lifted pair-node tuple, least element)
-    lifted: frozenset  # those lifted tuples, for the separation test
+    orders: tuple      # per order, its pairs lifted onto P_A x P_A
+    lifted: frozenset  # the same tuples, for the separation test
     slices: dict       # _cross_check_qs's memo: product-pair submask -> valid?
 
 
+_pair_cache: dict = {}    # member -> _PairTable
 _member_cache: dict = {}  # (member, kind) -> _MemberRecord
-_enc_cache: dict = {}     # member -> {(m, b): ((A,m),(A,b)) node}
+
+
+def _tagged_pairs(a: HfSet) -> _PairTable:
+    table = _pair_cache.get(a)
+    if table is None:
+        elements = a.children
+        tag = [ordered_pair(a, x) for x in elements]
+        n = len(tag)
+        cells = sorted(
+            ((ordered_pair(tag[i], tag[j]), (i, j)) for i in range(n) for j in range(n)),
+            key=lambda cell: canonical_key(cell[0]),
+        )
+        table = _PairTable(make_set(p for p, _ in cells), tuple(ij for _, ij in cells),
+                           {(elements[i], elements[j]): p for p, (i, j) in cells})
+        _pair_cache[a] = table
+    return table
 
 
 def _member_record(a: HfSet, kind: OrderKind) -> _MemberRecord:
     key = (a, kind)
     record = _member_cache.get(key)
     if record is None:
-        orders = []
-        for r in enumerate_orders(a, kind):
-            universal = _universal_indices(r.rows)
-            if len(universal) == 1:
-                orders.append((r, lift_order(r).pairs.children, r.elements[universal[0]]))
-        lifted = frozenset(children for _, children, _ in orders)
-        record = _MemberRecord(tuple(orders), lifted, {})
+        table = _tagged_pairs(a)
+        orders = tuple(
+            tuple(p for p, (i, j) in zip(table.product.children, table.coords)
+                  if r.rows[i] >> j & 1)
+            for r in enumerate_orders(a, kind)
+            if len(_universal_indices(r.rows)) == 1
+        )
+        record = _MemberRecord(orders, frozenset(orders), {})
         _member_cache[key] = record
     return record
 
 
 def _eligible_orders(a: HfSet, kind: OrderKind) -> tuple:
     return _member_record(a, kind).orders
-
-
-def _enc_table(a: HfSet) -> dict:
-    enc = _enc_cache.get(a)
-    if enc is None:
-        tag = {m: ordered_pair(a, m) for m in a.children}
-        enc = {(m, b): ordered_pair(tag[m], tag[b]) for m in a.children for b in a.children}
-        _enc_cache[a] = enc
-    return enc
 
 
 def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
@@ -332,11 +351,7 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
         raise CapExceeded(f"{count} combined relations exceed cap {product_cap}")
     combos = []
     for picks in itertools.product(*per_member):
-        merged = []
-        for _, children, _ in picks:
-            merged.extend(children)
-        merged.sort(key=canonical_key)
-        combos.append(make_set(merged))
+        combos.append(make_set(p for children in picks for p in children))
     qs = make_set(combos)
     base_size = sum(len(a) ** 2 for a in members)
     if base_size <= 12:
@@ -346,24 +361,16 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
 
 def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
     """Re-derive Q_S by filtering every subset of the union base."""
-    members = family.members.children
-    offsets = []
-    position_maps = []
-    total = 0
-    for a in members:
-        product = cartesian(build_PA(a), build_PA(a)).children
-        index = {e: i for i, e in enumerate(a.children)}
-        coords = []
-        for p in product:
-            left, right = unpair(p)
-            _, x = unpair(left)
-            _, y = unpair(right)
-            coords.append((index[x], index[y]))
-        offsets.append(total)
-        position_maps.append((a, product, coords))
-        total += len(product)
+    slices = []  # per member: (offset of its bits, coords, |A|, submask memo)
+    bit_of = {}  # union-base pair -> its bit in a mask over the whole base
+    for a in family.members.children:
+        table = _tagged_pairs(a)
+        slices.append((len(bit_of), table.coords, len(a), _member_record(a, kind).slices))
+        for p in table.product.children:
+            bit_of[p] = len(bit_of)
 
-    def slice_ok(a, coords, n, submask, memo):
+    def slice_ok(offset, coords, n, memo, mask):
+        submask = mask >> offset & ((1 << len(coords)) - 1)
         ok = memo.get(submask)
         if ok is None:
             rows = [0] * n
@@ -374,32 +381,12 @@ def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
             memo[submask] = ok
         return ok
 
-    filtered = set()
-    memos = [
-        (a, coords, len(a.children), _member_record(a, kind).slices)
-        for a, _, coords in position_maps
-    ]
-    for mask in range(1 << total):
-        good = True
-        for offset, (a, coords, n, memo) in zip(offsets, memos):
-            width = len(coords)
-            if not slice_ok(a, coords, n, (mask >> offset) & ((1 << width) - 1), memo):
-                good = False
-                break
-        if good:
-            filtered.add(mask)
-
+    filtered = {
+        mask for mask in range(1 << len(bit_of))
+        if all(slice_ok(*member, mask) for member in slices)
+    }
     # Express the enumerated Q_S in the same mask coordinates.
-    bit_of = {}
-    for offset, (_, product, _) in zip(offsets, position_maps):
-        for i, p in enumerate(product):
-            bit_of[p] = offset + i
-    enumerated = set()
-    for q in qs.children:
-        mask = 0
-        for p in q.children:
-            mask |= 1 << bit_of[p]
-        enumerated.add(mask)
+    enumerated = {sum(1 << bit_of[p] for p in q.children) for q in qs.children}
     if enumerated != filtered:
         raise CrossCheckFailed("product enumeration disagrees with the subset filter")
 
@@ -429,7 +416,7 @@ def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
     present = frozenset(q.children)
     graph = []
     for a in family.members.children:
-        enc = _enc_table(a)
+        enc = _tagged_pairs(a).enc
         winners = [
             m
             for m in a.children
@@ -466,20 +453,18 @@ def build_Fc_literal(family: Family, qs: HfSet,
     k = len(candidates)
     if k > powerset_cap:
         raise CapExceeded(f"separation over {k} candidate pairs exceeds cap {powerset_cap}")
-    bit_of = {p: i for i, p in enumerate(candidates)}
-
+    bit_of = {unpair(p): i for i, p in enumerate(candidates)}
+    tests = []  # per (A, m): its bit, and the pairs ((A,m),(A,b)) that select it
+    for a in family.members.children:
+        enc = _tagged_pairs(a).enc
+        for m in family.union.children:
+            needed = [enc.get((m, b)) for b in a.children]
+            if None not in needed:  # m outside A: no Q in Q_S holds these pairs
+                tests.append((1 << bit_of[a, m], frozenset(needed)))
     valid_masks = set()
     for q in qs.children:
         present = frozenset(q.children)
-        mask = 0
-        for a in family.members.children:
-            for m in family.union.children:
-                if all(
-                    ordered_pair(ordered_pair(a, m), ordered_pair(a, b)) in present
-                    for b in a.children
-                ):
-                    mask |= 1 << bit_of[ordered_pair(a, m)]
-        valid_masks.add(mask)
+        valid_masks.add(sum(bit for bit, needed in tests if needed <= present))
 
     found = []
     for mask in range(1 << k):

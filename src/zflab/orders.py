@@ -290,30 +290,30 @@ def enumerate_orders(a: HfSet, kind: OrderKind, cross_check: bool = False) -> tu
     if n > 4:
         raise CapExceeded(f"order enumeration over {n} elements exceeds cap 4")
     enc = _pair_table(a)
-    found = []
-    if kind is OrderKind.WELL_ORDER:
-        for perm in itertools.permutations(range(n)):
-            pairs = [
-                enc[perm[i]][perm[j]] for i in range(n) for j in range(i, n)
-            ]
-            found.append(relation_over(a, make_set(pairs)))
-    else:
+
+    def brute_force() -> list:
+        # Every subset of a x a that meets the condition of ``kind``.
+        found = []
         for rows in itertools.product(range(1 << n), repeat=n):
             if _rows_satisfy(rows, kind):
                 pairs = [
                     enc[i][j] for i in range(n) for j in range(n) if rows[i] >> j & 1
                 ]
                 found.append(relation_over(a, make_set(pairs)))
+        return found
+
+    if kind is OrderKind.WELL_ORDER:
+        found = []
+        for perm in itertools.permutations(range(n)):
+            pairs = [
+                enc[perm[i]][perm[j]] for i in range(n) for j in range(i, n)
+            ]
+            found.append(relation_over(a, make_set(pairs)))
+    else:
+        found = brute_force()
     result = tuple(sorted(found, key=lambda r: canonical_key(r.pairs)))
     if cross_check and kind is OrderKind.WELL_ORDER and n <= 3:
-        brute = []
-        for rows in itertools.product(range(1 << n), repeat=n):
-            if _rows_satisfy(rows, kind):
-                pairs = [
-                    enc[i][j] for i in range(n) for j in range(n) if rows[i] >> j & 1
-                ]
-                brute.append(relation_over(a, make_set(pairs)))
-        if set(brute) != set(result):
+        if set(brute_force()) != set(result):
             raise CrossCheckFailed("permutation route disagrees with subset filter")
     _enum_cache[key] = result
     return result

@@ -266,6 +266,22 @@ def test_negative_or_non_integer_caps_rejected(tmp_path, capsys, monkeypatch,
     assert "nonnegative integer" in captured.err
 
 
+@pytest.mark.parametrize("command,trials", [("fuzz", "-3"), ("intervals", "-2")])
+def test_negative_trials_rejected(capsys, command, trials):
+    assert run_cli([command, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trials must be a nonnegative integer, got {trials}\n"
+
+
+@pytest.mark.parametrize("command", ["fuzz", "intervals"])
+def test_zero_trials_are_accepted(capsys, command):
+    assert run_cli([command, "--trials", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert report["config"]["trials"] == 0
+
+
 def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZFLAB_CAPS", "0,0")
     assert run_cli(["fuzz", "--trials", "1"]) in (0, 1)

@@ -1,12 +1,13 @@
 """Pipeline tests: universes, separation, combined relations, choice sets."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import UNIVERSE4, to_frozen
-from zflab import oracle
+from zflab import cli, construction, oracle
 from zflab.errors import CapExceeded, EmptyFamily, NoLeast
 from zflab.construction import (
     ChoiceFunction,
@@ -36,8 +37,15 @@ from zflab.hfs import (
     ordered_pair,
     powerset,
     union_family,
+    unpair,
 )
-from zflab.orders import OrderKind, enumerate_orders, lift_order, satisfies
+from zflab.orders import (
+    OrderKind,
+    enumerate_orders,
+    lift_order,
+    relation_properties,
+    satisfies,
+)
 
 E, S1, S2, D = UNIVERSE4
 
@@ -350,3 +358,49 @@ def test_run_pipeline_literal_variant_reports_the_finding():
     assert rep.u2_size == 17
     assert rep.q_s_empty
     assert rep.fc_size == 0
+
+
+# --- the per-member pair table against the routes it replaces ----------------
+
+A4 = make_set(UNIVERSE4)
+
+
+@pytest.mark.parametrize("a", SUBSETS4, ids=hfs_literal)
+def test_pair_table_is_the_tagged_product(a):
+    table = construction._tagged_pairs(a)
+    assert table.product.children == cartesian(build_PA(a), build_PA(a)).children
+    assert len(table.coords) == len(table.product) == len(table.enc)
+    for p, (i, j) in zip(table.product.children, table.coords):
+        left, right = unpair(p)
+        assert (unpair(left), unpair(right)) == ((a, a.children[i]), (a, a.children[j]))
+        assert table.enc[a.children[i], a.children[j]] == p
+
+
+@pytest.mark.parametrize("a,kind", [
+    *((a, kind) for a in SUBSETS4_UP_TO_3 for kind in OrderKind),
+    (A4, OrderKind.WELL_ORDER),
+    (A4, OrderKind.PARTIAL_ORDER_WITH_LEAST),
+])
+def test_member_record_lifts_each_order_as_lift_order_does(a, kind):
+    expected = tuple(
+        lift_order(r).pairs.children
+        for r in enumerate_orders(a, kind)
+        if relation_properties(r).least is not None
+    )
+    record = construction._member_record(a, kind)
+    assert record.orders == expected
+    assert record.lifted == frozenset(expected)
+
+
+def test_verify_with_an_empty_member_agrees_on_empty_choice_sets(tmp_path):
+    members = ["{}", "{{}}", "{{},{{}}}"]  # 3 members x 2 union elements = 6 pairs
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": members}))
+    status, rendered = cli.execute(cli.RunConfig(command="verify", family=str(path)))
+    report = json.loads(rendered)
+    assert status == 0
+    assert report["pipeline"]["fc_size"] == 0
+    assert report["cross_checks"]["route_agreement"] is True
+    fam = Family.of([EMPTY, ONE, TWO])
+    qs = build_QS(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
+    assert build_Fc_literal(fam, qs) == build_Fc(fam, qs) == ()
