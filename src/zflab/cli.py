@@ -16,7 +16,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -45,7 +45,6 @@ from .intervals import (
     choice_value,
     parse_interval,
     phi2_holds,
-    pol_compare,
     sample_check_pol,
 )
 from .orders import OrderKind, enumerate_orders
@@ -124,18 +123,15 @@ def _resolve_caps(env: Optional[str], powerset_flag: Optional[int],
     return powerset_cap, product_cap
 
 
+# The report's config block: every RunConfig field but where the report goes
+# and how it looks, and the interval literals (reported with their results).
+_CONFIG_KEYS = tuple(
+    f.name for f in fields(RunConfig) if f.name not in ("out", "format", "literals")
+)
+
+
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "family": cfg.family,
-        "kind": cfg.kind,
-        "u2": cfg.u2,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "allow_empty": cfg.allow_empty,
-        "powerset_cap": cfg.powerset_cap,
-        "product_cap": cfg.product_cap,
-    }
+    return {name: getattr(cfg, name) for name in _CONFIG_KEYS}
 
 
 def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:

@@ -10,15 +10,22 @@ of every member's restriction of each Q, and :func:`build_Fc_literal`
 separates F_c out of the powerset of A_S x A_U.  A run builds Q_S once and
 hands it to both.
 
+Q_S is held as per-member order picks (:class:`QSet`): each Q unions one
+transported order per member, and each order carries its least element, so
+F_c is the product of each member's distinct leasts.  The Q's are built as
+sets only where something reads them (the ``enumerate`` report prints them
+all); a report's one witness Q is built alone.
+
 The candidate universe U2 is deliberately built in two inequivalent ways:
 
 * ``Literal``: the union over members of the powerset of P_A x P_A.  Every
   candidate covers a single member, so for families with two or more distinct
   nonempty members the filtered Q_S is empty.  That emptiness is a reportable
-  finding, not an error.
+  finding, not an error.  The separation visits every candidate as a bit
+  mask over its member's P_A x P_A.
 * ``UnionOfProducts``: the powerset of the union over members of P_A x P_A.
   Candidates here can combine pairs from all members, and Q_S is exactly the
-  product of the per-member order sets.  The pipeline enumerates that product
+  product of the per-member order sets.  The pipeline takes that product
   directly and, at micro scale, re-derives it from the subset filter and
   raises CrossCheckFailed unless the two agree.
 
@@ -27,8 +34,9 @@ Each member's P_A x P_A is encoded once, into a cached table of its pairs
 Q_S cross-check and both F_c routes read that table.
 
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
-cross-check while members are small (see :func:`run_pipeline`), and the
-literal U2 is materialized only where its Q_S is filtered out of it.
+cross-check while members are small (see :func:`run_pipeline`).  U2 is
+built only by :func:`build_U2_base`; the pipeline separates the literal U2
+one candidate mask at a time.
 
 Orders participate only when they have a least element, since the choice
 extraction takes exactly that least; on nonempty carriers every admissible
@@ -39,6 +47,7 @@ which is why a family containing the empty set ends with Q_S and F_c empty.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -68,7 +77,7 @@ from .orders import (
 
 __all__ = [
     "ChoiceFunction", "DEFAULT_PRODUCT_CAP", "Family", "PipelineReport",
-    "U2Variant", "build_Fc", "build_Fc_literal", "build_PA", "build_QS",
+    "QSet", "U2Variant", "build_Fc", "build_Fc_literal", "build_PA", "build_QS",
     "build_U2_base", "build_universes", "choice_from_Q", "phi1_holds",
     "phi3_holds", "restrict_Q", "run_pipeline", "theorem4_order_from_choice",
 ]
@@ -257,7 +266,8 @@ class _MemberRecord(NamedTuple):
     """
 
     orders: tuple      # per order, its pairs lifted onto P_A x P_A
-    lifted: frozenset  # the same tuples, for the separation test
+    leasts: tuple      # per order, its least element
+    lifted: frozenset  # the lifted tuples, for the separation test
     slices: dict       # _cross_check_qs's memo: product-pair submask -> valid?
 
 
@@ -286,19 +296,87 @@ def _member_record(a: HfSet, kind: OrderKind) -> _MemberRecord:
     record = _member_cache.get(key)
     if record is None:
         table = _tagged_pairs(a)
-        orders = tuple(
-            tuple(p for p, (i, j) in zip(table.product.children, table.coords)
-                  if r.rows[i] >> j & 1)
-            for r in enumerate_orders(a, kind)
-            if len(_universal_indices(r.rows)) == 1
-        )
-        record = _MemberRecord(orders, frozenset(orders), {})
+        orders = []
+        leasts = []
+        for r in enumerate_orders(a, kind):
+            universal = _universal_indices(r.rows)
+            if len(universal) == 1:
+                orders.append(tuple(p for p, (i, j) in zip(table.product.children, table.coords)
+                                    if r.rows[i] >> j & 1))
+                leasts.append(a.children[universal[0]])
+        record = _MemberRecord(tuple(orders), tuple(leasts), frozenset(orders), {})
         _member_cache[key] = record
     return record
 
 
 def _eligible_orders(a: HfSet, kind: OrderKind) -> tuple:
-    return _member_record(a, kind).orders
+    """The orders member ``a`` may contribute to a Q, as (lifted pairs,
+    least element) picks."""
+    record = _member_record(a, kind)
+    return tuple(zip(record.orders, record.leasts))
+
+
+def _bit_layout(family: Family) -> list:
+    """Per member, (offset, bit): a mask over the union base lays the
+    members' P_A x P_A end to end in member order, and pair p of member A is
+    bit ``offset + bit[p]``."""
+    layout = []
+    offset = 0
+    for a in family.members.children:
+        product = _tagged_pairs(a).product.children
+        layout.append((offset, {p: i for i, p in enumerate(product)}))
+        offset += len(product)
+    return layout
+
+
+def _mask(pairs, offset: int, bit: dict) -> int:
+    return sum(1 << (offset + bit[p]) for p in pairs)
+
+
+def _pick_masks(layout: list, picks: tuple) -> list:
+    """Per member, each pick's pairs as a mask over the union base."""
+    return [
+        [_mask(pairs, offset, bit) for pairs, _ in member_picks]
+        for (offset, bit), member_picks in zip(layout, picks)
+    ]
+
+
+class QSet:
+    """Q_S as per-member order picks.
+
+    ``picks`` holds, per member in canonical order, the (lifted pairs, least
+    element) of each order the member may contribute; Q_S is every union of
+    one pick per member, so ``len`` is the product of the pick counts.
+    ``children`` builds the Q's as sets, in canonical order, on first read.
+    Equality is equality of the sets of Q's, so it builds them.
+    """
+
+    __slots__ = ("family", "kind", "picks", "_set")
+
+    def __init__(self, family: Family, kind: OrderKind, picks: tuple):
+        self.family = family
+        self.kind = kind
+        self.picks = picks
+        self._set = None
+
+    def __len__(self) -> int:
+        return math.prod(len(member_picks) for member_picks in self.picks)
+
+    @property
+    def children(self) -> tuple:
+        if self._set is None:
+            self._set = make_set(
+                make_set(p for pairs, _ in combo for p in pairs)
+                for combo in itertools.product(*self.picks)
+            )
+        return self._set.children
+
+    def __eq__(self, other):
+        if not isinstance(other, (QSet, HfSet)):
+            return NotImplemented
+        return self.children == other.children
+
+    __hash__ = None
 
 
 def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
@@ -329,45 +407,80 @@ def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
 
 def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
              powerset_cap: int = DEFAULT_POWERSET_CAP,
-             product_cap: int = DEFAULT_PRODUCT_CAP) -> HfSet:
+             product_cap: int = DEFAULT_PRODUCT_CAP) -> QSet:
     """The set of combined relations selected by the separation condition.
 
-    Literal filters the materialized U2; UnionOfProducts enumerates the
-    product of per-member admissible orders directly, and when the union base
-    has at most 12 elements the powerset filter is re-run and must agree.
+    Literal separates every candidate of U2 (:func:`_literal_picks`);
+    UnionOfProducts takes the product of per-member admissible orders
+    directly, and when the union base has at most 12 elements the powerset
+    filter is re-run and must agree.
     """
     if variant is U2Variant.LITERAL:
-        u2 = build_U2_base(family, variant, powerset_cap)
-        return make_set(q for q in u2.children if phi1_holds(q, family, kind))
+        return QSet(family, kind, _literal_picks(family, kind, powerset_cap))
     if variant is not U2Variant.UNION_OF_PRODUCTS:
         raise TypeError(f"unknown variant: {variant!r}")
 
     members = family.members.children
-    per_member = [_eligible_orders(a, kind) for a in members]
-    count = 1
-    for entries in per_member:
-        count *= len(entries)
+    qs = QSet(family, kind, tuple(_eligible_orders(a, kind) for a in members))
+    count = len(qs)
     if count > product_cap:
         raise CapExceeded(f"{count} combined relations exceed cap {product_cap}")
-    combos = []
-    for picks in itertools.product(*per_member):
-        combos.append(make_set(p for children in picks for p in children))
-    qs = make_set(combos)
     base_size = sum(len(a) ** 2 for a in members)
     if base_size <= 12:
         _cross_check_qs(family, kind, qs)
     return qs
 
 
-def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
+def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
+    """The literal Q_S as per-member picks, separated in mask coordinates.
+
+    Every literal candidate is a subset of one member's P_A x P_A, so it is a
+    mask over that member's pairs.  A nonzero mask of A passes the separation
+    condition iff it is a lifted order of A and every other member admits
+    the empty relation; the empty candidate, which all members share, passes
+    iff every member admits the empty relation.  Every mask of every member
+    is visited; the survivors must split into a product of per-member picks.
+    """
+    members = family.members.children
+    for a in members:
+        n = len(a) ** 2
+        if n > powerset_cap:
+            raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
+    picks = [_eligible_orders(a, kind) for a in members]
+    by_mask = [
+        {_mask(pick[0], 0, bit): pick for pick in member_picks}
+        for (_, bit), member_picks in zip(_bit_layout(family), picks)
+    ]
+    empty = [member_masks.get(0) for member_masks in by_mask]
+    survivors = []  # per surviving candidate, its pick for every member
+    for index, member_masks in enumerate(by_mask):
+        others_admit_empty = all(e is not None for j, e in enumerate(empty) if j != index)
+        for mask in range(1, 1 << len(members[index]) ** 2):
+            pick = member_masks.get(mask)
+            if pick is not None and others_admit_empty:
+                survivors.append(empty[:index] + [pick] + empty[index + 1:])
+    if None not in empty:
+        survivors.append(empty)
+    seen = [set() for _ in members]
+    for survivor in survivors:
+        for kept, pick in zip(seen, survivor):
+            kept.add(pick)
+    result = tuple(
+        tuple(pick for pick in member_picks if pick in kept)
+        for member_picks, kept in zip(picks, seen)
+    )
+    if math.prod(map(len, result)) != len(survivors):
+        raise CrossCheckFailed("literal Q_S survivors do not form a product of member picks")
+    return result
+
+
+def _cross_check_qs(family: Family, kind: OrderKind, qs: QSet) -> None:
     """Re-derive Q_S by filtering every subset of the union base."""
+    layout = _bit_layout(family)
     slices = []  # per member: (offset of its bits, coords, |A|, submask memo)
-    bit_of = {}  # union-base pair -> its bit in a mask over the whole base
-    for a in family.members.children:
-        table = _tagged_pairs(a)
-        slices.append((len(bit_of), table.coords, len(a), _member_record(a, kind).slices))
-        for p in table.product.children:
-            bit_of[p] = len(bit_of)
+    for a, (offset, _) in zip(family.members.children, layout):
+        slices.append((offset, _tagged_pairs(a).coords, len(a),
+                       _member_record(a, kind).slices))
 
     def slice_ok(offset, coords, n, memo, mask):
         submask = mask >> offset & ((1 << len(coords)) - 1)
@@ -381,13 +494,14 @@ def _cross_check_qs(family: Family, kind: OrderKind, qs: HfSet) -> None:
             memo[submask] = ok
         return ok
 
+    width = sum(len(coords) for _, coords, _, _ in slices)
     filtered = {
-        mask for mask in range(1 << len(bit_of))
+        mask for mask in range(1 << width)
         if all(slice_ok(*member, mask) for member in slices)
     }
-    # Express the enumerated Q_S in the same mask coordinates.
-    enumerated = {sum(1 << bit_of[p] for p in q.children) for q in qs.children}
-    if enumerated != filtered:
+    # Express the picked Q's in the same mask coordinates.
+    enumerated = {sum(combo) for combo in itertools.product(*_pick_masks(layout, qs.picks))}
+    if enumerated != filtered or len(enumerated) != len(qs):
         raise CrossCheckFailed("product enumeration disagrees with the subset filter")
 
 
@@ -430,17 +544,23 @@ def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
     return ChoiceFunction(make_set(graph))
 
 
-def build_Fc(family: Family, qs: HfSet) -> tuple:
+def build_Fc(family: Family, qs: QSet) -> tuple:
     """The choice functions of the combined relations in ``qs``, taken by
-    least elements and canonically ordered."""
-    seen = {}
-    for q in qs.children:
-        cf = choice_from_Q(q, family)
-        seen[cf.graph] = cf
-    return tuple(seen[g] for g in sorted(seen, key=canonical_key))
+    least elements and canonically ordered.
+
+    A Q chooses, for each member, the least element of the order it picks
+    there, so F_c is the product of each member's distinct leasts.
+    """
+    leasts = [dict.fromkeys(least for _, least in member_picks) for member_picks in qs.picks]
+    members = family.members.children
+    graphs = [
+        make_set(ordered_pair(a, m) for a, m in zip(members, chosen))
+        for chosen in itertools.product(*leasts)
+    ]
+    return tuple(ChoiceFunction(g) for g in sorted(graphs, key=canonical_key))
 
 
-def build_Fc_literal(family: Family, qs: HfSet,
+def build_Fc_literal(family: Family, qs: QSet,
                      powerset_cap: int = DEFAULT_POWERSET_CAP) -> tuple:
     """The choice set separated literally from the powerset of A_S x A_U.
 
@@ -454,17 +574,18 @@ def build_Fc_literal(family: Family, qs: HfSet,
     if k > powerset_cap:
         raise CapExceeded(f"separation over {k} candidate pairs exceeds cap {powerset_cap}")
     bit_of = {unpair(p): i for i, p in enumerate(candidates)}
-    tests = []  # per (A, m): its bit, and the pairs ((A,m),(A,b)) that select it
-    for a in family.members.children:
+    layout = _bit_layout(family)
+    tests = []  # per (A, m): its candidate bit, and the union-base mask of ((A,m),(A,b))
+    for a, (offset, bit) in zip(family.members.children, layout):
         enc = _tagged_pairs(a).enc
         for m in family.union.children:
             needed = [enc.get((m, b)) for b in a.children]
             if None not in needed:  # m outside A: no Q in Q_S holds these pairs
-                tests.append((1 << bit_of[a, m], frozenset(needed)))
+                tests.append((1 << bit_of[a, m], _mask(needed, offset, bit)))
     valid_masks = set()
-    for q in qs.children:
-        present = frozenset(q.children)
-        valid_masks.add(sum(bit for bit, needed in tests if needed <= present))
+    for combo in itertools.product(*_pick_masks(layout, qs.picks)):
+        present = sum(combo)  # the pairs of one Q, as union-base bits
+        valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
 
     found = []
     for mask in range(1 << k):
@@ -502,7 +623,8 @@ def phi3_holds(r: Relation, a: HfSet, f: ChoiceFunction) -> bool:
 @dataclass(frozen=True)
 class PipelineReport:
     """Flat, serialization-ready summary of one pipeline run; ``qs`` and
-    ``fcs`` carry the Q_S and F_c it built and stay out of :meth:`to_dict`."""
+    ``fcs`` carry the Q_S (as per-member picks, no Q built) and F_c it built
+    and stay out of :meth:`to_dict`."""
 
     variant: str
     kind: str
@@ -515,7 +637,7 @@ class PipelineReport:
     q_s_empty: bool
     f_c_all_valid: bool
     witnesses: dict
-    qs: HfSet = field(repr=False)
+    qs: QSet = field(repr=False)
     fcs: tuple = field(repr=False)
 
     def to_dict(self) -> dict:
@@ -534,12 +656,29 @@ class PipelineReport:
         }
 
 
+def _first_q(qs: QSet) -> HfSet:
+    """The canonically first Q of a nonempty Q_S, built alone.
+
+    All Q's share one rank, so the first has the fewest pairs, and for
+    equal-size sets the canonically smaller one holds the least element of
+    the symmetric difference.  Members' pairs are disjoint, so the first Q
+    takes from each member the canonically least of its smallest orders.
+    """
+    parts = (
+        min((pairs for pairs, _ in member_picks),
+            key=lambda pairs: (len(pairs), tuple(map(canonical_key, pairs))))
+        for member_picks in qs.picks
+    )
+    return make_set(p for pairs in parts for p in pairs)
+
+
 def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
                  powerset_cap: int = DEFAULT_POWERSET_CAP,
                  product_cap: int = DEFAULT_PRODUCT_CAP) -> PipelineReport:
     """Run the whole construction and report sizes and witnesses.
 
-    Q_S is built once and F_c taken from it by least elements.  U1 and U2
+    Q_S is built once and F_c taken from it by least elements; of the Q's
+    only the witness is built as a set.  U1 and U2
     are counted.  While no member has more than 3 elements (U1 at most 2^9
     sets per member) U1 is also built and must match.
     """
@@ -553,7 +692,7 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
     fcs = build_Fc(family, qs)
     witnesses = {
         "choice_functions": [hfs_literal(cf.graph) for cf in fcs[:3]],
-        "combined_relations": [hfs_literal(q) for q in qs.children[:1]],
+        "combined_relations": [hfs_literal(_first_q(qs))] if len(qs) else [],
     }
     return PipelineReport(
         variant=variant.value,

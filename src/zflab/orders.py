@@ -77,7 +77,7 @@ class PropertyReport:
 
 
 class Relation:
-    """A set of encoded pairs over a fixed carrier, with a matrix view."""
+    """A set of encoded pairs over a fixed carrier, with its matrix as bit rows."""
 
     __slots__ = ("carrier", "pairs", "elements", "rows")
 
@@ -86,13 +86,6 @@ class Relation:
         self.pairs = pairs
         self.elements = elements  # carrier children, canonical order
         self.rows = rows          # rows[i] bit j set iff (e_i, e_j) in pairs
-
-    @property
-    def matrix(self) -> tuple:
-        n = len(self.elements)
-        return tuple(
-            tuple(bool(self.rows[i] >> j & 1) for j in range(n)) for i in range(n)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Relation):

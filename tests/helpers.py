@@ -19,6 +19,11 @@ from zflab.hfs import (
 UNIVERSE4 = iter_hfs_by_rank(2)
 UNIVERSE5 = iter_hfs_by_rank(3)[:5]
 
+# Four disjoint members over a 9-element union (sizes 2, 2, 2, 3), as family
+# file literals: k = 4 * 9 = 36 > 16, so ``verify`` skips the separation route.
+DISJOINT4 = ["{{},{{}}}", "{{{{}}},{{},{{}}}}", "{{{{{}}}},{{{},{{}}}}}",
+             "{{{},{{{}}}},{{},{{},{{}}}},{{{}},{{{}}}}}"]
+
 
 # --- frozenset model ---------------------------------------------------------
 

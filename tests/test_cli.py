@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import DISJOINT4
 from zflab import cli, construction
 from zflab.errors import EmptyFamily, ParseError
 from zflab.hfs import EMPTY, MAX_LITERAL_DEPTH, make_set
@@ -296,6 +297,9 @@ def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
      ["--kind", "pol"]),
     ("enumerate_wellorder", ["{{},{{}}}", "{{},{{}},{{{}}}}"], ["--kind", "wellorder"]),
     ("enumerate_pol", ["{{},{{}}}", "{{},{{}},{{{}}}}"], ["--kind", "pol"]),
+    # k = 36 > 16: F_c and the witness come from the order picks alone.
+    ("verify_disjoint4_wellorder", DISJOINT4, ["--kind", "wellorder"]),
+    ("verify_disjoint4_pol", DISJOINT4, ["--kind", "pol"]),
 ])
 def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
     command = golden.split("_")[0]
@@ -397,3 +401,48 @@ def test_literals_nested_to_the_bound_verify_completely(tmp_path, capsys, litera
     assert report["cross_checks"] == {"oracle_fc_match": True, "route_agreement": True,
                                       "induced_order_roundtrip": True}
     assert report["pipeline"]["fc_size"] == 1  # every member is a singleton
+
+
+def count_q_builds(monkeypatch) -> list:
+    """Count reads of ``QSet.children``, the only place Q's are built as sets."""
+    reads = []
+    children = construction.QSet.children
+
+    def counted(qs):
+        reads.append(len(qs))
+        return children.fget(qs)
+
+    monkeypatch.setattr(construction.QSet, "children", property(counted))
+    return reads
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "family.json", "--kind", "wellorder"],
+    ["verify", "--family", "family.json", "--kind", "pol"],
+    ["fuzz", "--trials", "25", "--seed", "7", "--kind", "pol", "--allow-empty"],
+])
+def test_verify_and_fuzz_never_build_a_q_s(tmp_path, monkeypatch, argv):
+    choice_calls = count_calls(monkeypatch, construction.choice_from_Q)
+    builds = count_q_builds(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps({"family": DISJOINT4}))
+    assert run_cli(argv + ["--out", "r.json"]) == 0
+    assert (len(choice_calls), builds) == (0, [])
+
+
+def test_enumerate_builds_its_q_s_once(tmp_path, monkeypatch):
+    builds = count_q_builds(monkeypatch)
+    assert run_in(tmp_path, monkeypatch, ["{{}}", "{{},{{}}}"],
+                  ["--out", "r.json"], command="enumerate") == 0
+    assert builds == [2]
+
+
+def test_literal_u2_on_a_five_element_member_fails_the_order_cap(tmp_path, capsys):
+    # 25 pairs pass the powerset cap, but the member's orders are over the
+    # order cap, which must fire before any of the 2^25 candidates is visited.
+    fam = write_family(tmp_path, ["{{},{{}},{{{}}},{{},{{}}},{{{{}}}}}"])
+    status = run_cli(["verify", "--family", fam, "--u2", "literal", "--powerset-cap", "30"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 2
+    assert report["error"] == {"type": "CapExceeded",
+                               "message": "order enumeration over 5 elements exceeds cap 4"}

@@ -404,3 +404,104 @@ def test_verify_with_an_empty_member_agrees_on_empty_choice_sets(tmp_path):
     fam = Family.of([EMPTY, ONE, TWO])
     qs = build_QS(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
     assert build_Fc_literal(fam, qs) == build_Fc(fam, qs) == ()
+
+
+# --- Q_S as per-member picks against the materialized Q_S --------------------
+
+def lifted_qs(fam, kind):
+    """Q_S built the long way: every combination of lifted orders, one per
+    member, as a set of sets."""
+    per_member = [
+        [lift_order(r).pairs.children for r in enumerate_orders(a, kind)
+         if relation_properties(r).least is not None]
+        for a in fam
+    ]
+    return make_set(
+        make_set(p for pairs in combo for p in pairs)
+        for combo in itertools.product(*per_member)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3),
+       st.sampled_from([OrderKind.WELL_ORDER, OrderKind.PARTIAL_ORDER_WITH_LEAST]))
+@example([A4], OrderKind.PARTIAL_ORDER_WITH_LEAST)
+@example([A4, make_set((E, S1))], OrderKind.WELL_ORDER)
+@example([EMPTY, make_set((E, S1))], OrderKind.PARTIAL_ORDER_WITH_LEAST)
+@example([make_set((E, S1, S2)), make_set((S1, S2, D)), make_set((E, D))],
+         OrderKind.PARTIAL_ORDER_WITH_LEAST)
+# Unique-universal orders differ in size, and there the first Q is not the
+# one whose pairs come first.
+@example([make_set((E, S1, S2))], OrderKind.UNIQUE_UNIVERSAL)
+@example([make_set((E, S1)), make_set((S1, S2, D))], OrderKind.UNIQUE_UNIVERSAL)
+def test_picks_route_equals_the_materialized_q_s(members, kind):
+    fam = Family.of(members)
+    qs = build_QS(fam, U2Variant.UNION_OF_PRODUCTS, kind)
+    expected = lifted_qs(fam, kind)
+    fcs = build_Fc(fam, qs)
+    witnesses = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, kind).witnesses
+    # The sizes, F_c and the witness come from the picks, before any Q is built.
+    assert len(qs) == len(expected)
+    graphs = {choice_from_Q(q, fam).graph for q in expected.children}
+    assert [cf.graph for cf in fcs] == sorted(graphs)
+    assert witnesses["combined_relations"] == [hfs_literal(q) for q in expected.children[:1]]
+    assert qs.children == expected.children
+    assert qs == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3),
+       st.sampled_from(list(OrderKind)))
+@example([EMPTY], OrderKind.WELL_ORDER)
+@example([make_set((E, S1, S2))], OrderKind.UNIQUE_UNIVERSAL)
+@example([ONE, TWO], OrderKind.PARTIAL_ORDER_WITH_LEAST)
+def test_literal_mask_filter_equals_the_phi1_filter_over_u2(members, kind):
+    fam = Family.of(members)
+    expected = make_set(
+        q for q in build_U2_base(fam, U2Variant.LITERAL).children
+        if phi1_holds(q, fam, kind)
+    )
+    qs = build_QS(fam, U2Variant.LITERAL, kind)
+    assert len(qs) == len(expected)
+    assert qs == expected
+
+
+@pytest.mark.parametrize("members,admits", [
+    ([TWO], [TWO]),              # the empty candidate survives
+    ([ONE, TWO], [TWO]),         # ONE's orders survive beside TWO's empty part
+    ([ONE, TWO], [ONE]),
+])
+def test_literal_mask_filter_follows_members_that_admit_the_empty_relation(
+        monkeypatch, members, admits):
+    # The members in ``admits`` also admit the empty relation (least element:
+    # their first element), for the mask filter and phi1 alike.
+    real = construction._member_record
+
+    def record(a, kind):
+        r = real(a, kind)
+        if a not in admits:
+            return r
+        return r._replace(orders=r.orders + ((),), leasts=r.leasts + (a.children[0],),
+                          lifted=r.lifted | {()})
+
+    monkeypatch.setattr(construction, "_member_record", record)
+    fam = Family.of(members)
+    kind = OrderKind.WELL_ORDER
+    expected = make_set(
+        q for q in build_U2_base(fam, U2Variant.LITERAL).children
+        if phi1_holds(q, fam, kind)
+    )
+    qs = build_QS(fam, U2Variant.LITERAL, kind)
+    assert len(qs) == len(expected) > 0
+    assert qs == expected
+
+
+def test_q_s_equality_is_set_equality():
+    union = U2Variant.UNION_OF_PRODUCTS
+    wo = build_QS(Family.of([TWO]), union, OrderKind.WELL_ORDER)
+    pol = build_QS(Family.of([TWO]), union, OrderKind.PARTIAL_ORDER_WITH_LEAST)
+    assert wo == pol  # the same two orders on a 2-element carrier
+    assert wo != build_QS(RUNNING, union, OrderKind.WELL_ORDER)
+    assert build_QS(Family.of([EMPTY]), union, OrderKind.WELL_ORDER) == build_QS(
+        RUNNING, U2Variant.LITERAL, OrderKind.WELL_ORDER)  # both empty
+    assert wo == make_set(wo.children)

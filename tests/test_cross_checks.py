@@ -4,6 +4,10 @@ do so under ``python -O`` too, where an ``assert`` would vanish.
 Each check is broken on purpose by patching one route so that it disagrees
 with the other.  The module is also imported by a ``python -O`` subprocess,
 which runs the same breaks there.
+
+A corrupted least element is no disagreement inside one function: it makes
+``verify`` fail its oracle comparison and, where the separation route runs,
+its route agreement, so the report fails with exit 1.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import sys
 from pathlib import Path
 
 import zflab
+from helpers import DISJOINT4
 from zflab import cli, construction, oracle, orders
 from zflab.construction import Family, U2Variant
 from zflab.errors import CrossCheckFailed
@@ -24,6 +29,7 @@ ONE = make_set((EMPTY,))
 TWO = make_set((EMPTY, ONE))
 RUNNING = Family.of([ONE, TWO])
 UNION = U2Variant.UNION_OF_PRODUCTS
+LITERAL = U2Variant.LITERAL
 WO = OrderKind.WELL_ORDER
 
 
@@ -51,6 +57,35 @@ def break_qs_product():
     return patched(construction, "_eligible_orders", lambda a, kind: real(a, kind)[1:])
 
 
+def break_literal_product():
+    # Every member also admits the empty relation, so the literal survivors
+    # are each member's orders beside the others' empty relation: a union of
+    # slices, not a product.
+    real = construction._eligible_orders
+
+    def with_empty(a, kind):
+        picks = real(a, kind)
+        return picks + (((), picks[0][1]),)
+
+    return patched(construction, "_eligible_orders", with_empty)
+
+
+def break_recorded_least():
+    # A member's record names the wrong least element for its first order;
+    # the lifted pairs, which the separation route reads, stay right.
+    real = construction._member_record
+
+    def corrupted(a, kind):
+        record = real(a, kind)
+        if len(a) < 2:
+            return record
+        least, *rest = record.leasts
+        other = next(x for x in a.children if x != least)
+        return record._replace(leasts=(other, *rest))
+
+    return patched(construction, "_member_record", corrupted)
+
+
 def break_u1_count():
     return patched(construction, "_u1_size", lambda family, cap: 0)
 
@@ -58,6 +93,11 @@ def break_u1_count():
 def qs_routes_disagree() -> bool:
     with break_qs_product():
         return raises_cross_check(lambda: construction.build_QS(RUNNING, UNION, WO))
+
+
+def literal_picks_not_a_product() -> bool:
+    with break_literal_product():
+        return raises_cross_check(lambda: construction.build_QS(RUNNING, LITERAL, WO))
 
 
 def u1_routes_disagree() -> bool:
@@ -82,6 +122,7 @@ def order_count_carriers_disagree() -> bool:
 
 CHECKS = {
     "build_QS": qs_routes_disagree,
+    "build_QS_literal": literal_picks_not_a_product,
     "run_pipeline_u1": u1_routes_disagree,
     "enumerate_orders": wellorder_routes_disagree,
     "count_orders": order_count_carriers_disagree,
@@ -122,11 +163,10 @@ def test_cli_reports_a_failed_cross_check_with_exit_1(tmp_path):
     assert cli_outcomes(write_running(tmp_path)) == EXPECTED_CLI
 
 
-def test_cross_checks_survive_python_O(tmp_path):
-    code = (
-        "import json, sys, test_cross_checks as t; "
-        "print(json.dumps([__debug__, t.caught(), t.cli_outcomes(sys.argv[1])]))"
-    )
+def python_O(tmp_path, expression: str, arg: str) -> list:
+    """Evaluate ``expression`` (a list, with this module imported as ``t``)
+    in a ``python -O`` subprocess given ``arg`` as ``sys.argv[1]``."""
+    code = f"import json, sys, test_cross_checks as t; print(json.dumps({expression}))"
     src = Path(zflab.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -134,11 +174,58 @@ def test_cross_checks_survive_python_O(tmp_path):
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, write_running(tmp_path)],
+        [sys.executable, "-O", "-c", code, arg],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    debug, got, cli_got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cross_checks_survive_python_O(tmp_path):
+    debug, got, cli_got = python_O(
+        tmp_path, "[__debug__, t.caught(), t.cli_outcomes(sys.argv[1])]", write_running(tmp_path)
+    )
     assert debug is False
     assert got == dict.fromkeys(CHECKS, True)
     assert cli_got == EXPECTED_CLI
+
+
+def verify_outcomes(directory: str) -> dict:
+    """``verify`` with one recorded least corrupted, on the running family
+    (k = 4) and on four disjoint members (k = 36), and ``verify --u2 literal``
+    with survivors that are not a product: exit status, the two F_c checks
+    or the error type, and ``ok``."""
+    out = {}
+    for name, literals in (("running", ["{{}}", "{{},{{}}}"]), ("disjoint4", DISJOINT4)):
+        path = os.path.join(directory, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"family": literals}, fh)
+        with break_recorded_least():
+            status, rendered = cli.execute(cli.RunConfig(command="verify", family=path))
+        report = json.loads(rendered)
+        checks = report["cross_checks"]
+        out[name] = [status, checks["oracle_fc_match"], checks["route_agreement"],
+                     report["ok"]]
+    with break_literal_product():
+        status, rendered = cli.execute(cli.RunConfig(
+            command="verify", family=os.path.join(directory, "running.json"), u2="literal"))
+    report = json.loads(rendered)
+    out["literal"] = [status, report["error"]["type"], report["ok"]]
+    return out
+
+
+EXPECTED_VERIFY = {
+    "running": [1, False, False, False],
+    "disjoint4": [1, False, None, False],
+    "literal": [1, "CrossCheckFailed", False],
+}
+
+
+def test_verify_fails_on_a_corrupted_least_and_a_literal_non_product(tmp_path):
+    assert verify_outcomes(str(tmp_path)) == EXPECTED_VERIFY
+
+
+def test_verify_fails_on_the_same_breaks_under_python_O(tmp_path):
+    debug, got = python_O(tmp_path, "[__debug__, t.verify_outcomes(sys.argv[1])]", str(tmp_path))
+    assert debug is False
+    assert got == EXPECTED_VERIFY
