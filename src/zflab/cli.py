@@ -80,6 +80,10 @@ def load_family(path: str) -> Family:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text (byte {e.start})") from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("family"), list):
         raise ParseError(f'{path}: expected a top-level {{"family": [...]}} object')
     members = []
@@ -317,7 +321,12 @@ def _intervals(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
 
     named = []
     for text in cfg.literals:
-        interval = parse_interval(text)
+        try:
+            interval = parse_interval(text)
+        except ValueError as e:
+            # The library rejects a closed infinite end with ValueError; on the
+            # command line that is a malformed literal.
+            raise ParseError(f"{text!r}: {e}") from None
         value = choice_value(interval)
         entry = {
             "interval": str(interval),

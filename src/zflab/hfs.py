@@ -5,7 +5,9 @@ deduplicated and sorted rank-first (then by cardinality, then lexicographically
 on children), so extensional equality coincides with structural equality and
 each set has exactly one literal rendering.  Nodes are hash-consed through a
 weak intern table purely as an optimization; equality is content-based and
-never depends on sharing.
+never depends on sharing.  Each node renders its literal once and keeps the
+text, so a subset shared by many sets (a tagged pair inside every relation of
+Q_S, say) is printed once per process however often it is reached.
 
 The literal grammar is ``set := '{' (set (',' set)*)? '}'`` with insignificant
 whitespace, nested at most ``MAX_LITERAL_DEPTH`` braces deep.  The empty set
@@ -57,7 +59,8 @@ class HfSet:
     construction, and are immutable value objects.
     """
 
-    __slots__ = ("children", "rank", "_hash", "_key", "_members", "_pair", "__weakref__")
+    __slots__ = ("children", "rank", "_hash", "_key", "_members", "_pair", "_literal",
+                 "__weakref__")
 
     def __init__(self, children, rank, key, hashed):
         self.children = children
@@ -66,6 +69,7 @@ class HfSet:
         self._hash = hashed
         self._members = None  # lazy frozenset of children
         self._pair = None     # lazy ordered-pair decode: view or _NOT_A_PAIR
+        self._literal = None  # lazy canonical literal text
 
     # Equality is extensional.  Interned values usually short-circuit on
     # identity; the structural fallback keeps equality correct regardless.
@@ -235,8 +239,13 @@ def cartesian(a: HfSet, b: HfSet) -> HfSet:
 
 
 def hfs_literal(s: HfSet) -> str:
-    """Canonical literal text for ``s``."""
-    return "{" + ",".join(map(hfs_literal, s.children)) + "}"
+    """Canonical literal text for ``s``, rendered on the first call and kept
+    on the node."""
+    text = s._literal
+    if text is None:
+        text = "{" + ",".join(map(hfs_literal, s.children)) + "}"
+        s._literal = text
+    return text
 
 
 def parse_hfs(text: str) -> HfSet:

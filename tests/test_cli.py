@@ -1,6 +1,7 @@
 """CLI tests: family files, commands, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,8 @@ def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
     # k = 36 > 16: F_c and the witness come from the order picks alone.
     ("verify_disjoint4_wellorder", DISJOINT4, ["--kind", "wellorder"]),
     ("verify_disjoint4_pol", DISJOINT4, ["--kind", "pol"]),
+    # 48 Q's, each repeating tagged pairs the others print.
+    ("enumerate_disjoint4_wellorder", DISJOINT4, ["--kind", "wellorder"]),
 ])
 def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
     command = golden.split("_")[0]
@@ -307,6 +310,15 @@ def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
                     command=command)
     assert status == 0
     assert (tmp_path / "r.json").read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+def test_text_report_is_golden(tmp_path, monkeypatch):
+    # 72 Q's through the text renderer.
+    status = run_in(tmp_path, monkeypatch, DISJOINT4,
+                    ["--kind", "pol", "--format", "text", "--out", "r.txt"],
+                    command="enumerate")
+    assert status == 0
+    assert (tmp_path / "r.txt").read_bytes() == (GOLDEN / "enumerate_disjoint4_pol.txt").read_bytes()
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -446,3 +458,50 @@ def test_literal_u2_on_a_five_element_member_fails_the_order_cap(tmp_path, capsy
     assert status == 2
     assert report["error"] == {"type": "CapExceeded",
                                "message": "order enumeration over 5 elements exceeds cap 4"}
+
+
+# Hostile input, each a malformed-input diagnostic: (argv, family file bytes).
+HOSTILE = {
+    "closed_left_infinity": (["intervals", "--trials", "0", "[-inf,3]"], None),
+    "closed_right_infinity": (["intervals", "--trials", "0", "(1,+inf]"], None),
+    "utf16_family_file": (["verify", "--family", "family.json"],
+                          b"\xff\xfe" + '{"family": ["{}"]}'.encode("utf-16-le")),
+    "deeply_nested_family_file": (["verify", "--family", "family.json"],
+                                  b'{"family": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+}
+
+
+def stage_hostile(tmp_path, case) -> list:
+    argv, family = HOSTILE[case]
+    if family is not None:
+        (tmp_path / "family.json").write_bytes(family)
+    return argv
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_is_a_parse_error(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    status = run_cli(stage_hostile(tmp_path, case))
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert status == 2
+    assert report["error"]["type"] == "ParseError"
+    assert report["ok"] is False
+    assert captured.err == ""
+    if HOSTILE[case][1] is not None:
+        assert report["error"]["message"].startswith("family.json: ")
+        with pytest.raises(ParseError, match="family.json"):
+            cli.load_family("family.json")
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_2_from_the_module_entry(tmp_path, case):
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "zflab.cli"] + stage_hostile(tmp_path, case),
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ParseError"

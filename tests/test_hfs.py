@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import UNIVERSE4, UNIVERSE5, frozen_pair, frozen_powerset, to_frozen
+from zflab import hfs
 from zflab.errors import CapExceeded, NotAPair, ParseError
 from zflab.hfs import (
     EMPTY,
@@ -203,3 +204,102 @@ def test_membership_agrees_with_children():
     s = make_set(UNIVERSE4[:3])
     for x in UNIVERSE4:
         assert is_member(x, s) == (x in s.children)
+
+
+# --- the literal memo -----------------------------------------------------------
+
+def reference_literal(s: HfSet) -> str:
+    """The uncached recursive renderer that the memo replaces."""
+    return "{" + ",".join(reference_literal(c) for c in s.children) + "}"
+
+
+def subtree(s: HfSet) -> list:
+    """Every distinct node of ``s``, ``s`` included."""
+    seen = {}
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return list(seen.values())
+
+
+def forget_literals(nodes) -> None:
+    """Put ``nodes`` back to the cold state, as if never rendered."""
+    for node in nodes:
+        node._literal = None
+
+
+hf_sets = st.recursive(
+    st.just(EMPTY),
+    lambda inner: st.lists(inner, max_size=4).map(make_set),
+    max_leaves=24,
+)
+
+RENDER_ORDERS = {
+    "parents_first": lambda nodes, rnd: sorted(nodes, key=canonical_key, reverse=True),
+    "children_first": lambda nodes, rnd: sorted(nodes, key=canonical_key),
+    "shuffled": lambda nodes, rnd: rnd.sample(nodes, len(nodes)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(RENDER_ORDERS))
+@given(s=hf_sets, rnd=st.randoms(use_true_random=False))
+def test_cached_literal_matches_the_uncached_renderer(order, s, rnd):
+    nodes = subtree(s)
+    forget_literals(nodes)
+    for node in RENDER_ORDERS[order](nodes, rnd):
+        hfs_literal(node)
+    for node in nodes:
+        text = hfs_literal(node)
+        assert text == reference_literal(node)
+        assert hfs_literal(node) is text
+        assert repr(node) is text
+
+
+def test_literal_roundtrip_with_a_warm_cache_exhaustive_rank3():
+    universe = iter_hfs_by_rank(3)
+    sets = universe + list(cartesian(make_set(universe), make_set(universe)).children)
+    for s in sets:
+        hfs_literal(s)
+    for s in sets:
+        assert hfs_literal(s) == reference_literal(s)
+        assert parse_hfs(hfs_literal(s)) is s
+
+
+def test_literal_nested_to_the_bound_renders_the_same_cold_and_warm():
+    s = parse_hfs(nested(MAX_LITERAL_DEPTH))
+    chain = subtree(s)
+    assert len(chain) == MAX_LITERAL_DEPTH
+    forget_literals(chain)
+    cold = hfs_literal(s)
+    assert cold == nested(MAX_LITERAL_DEPTH) == reference_literal(s)
+    assert hfs_literal(s) is cold
+    forget_literals(chain)
+    for node in sorted(chain, key=canonical_key):
+        hfs_literal(node)
+    assert hfs_literal(s) == cold
+
+
+def test_each_node_is_rendered_once(monkeypatch):
+    # A relation whose pairs share their components: cold, the renderer is
+    # entered once for the root and once per child of each distinct node;
+    # warm, once.
+    u = iter_hfs_by_rank(2)
+    s = make_set(ordered_pair(x, y) for x in u for y in u)
+    nodes = subtree(s)
+    forget_literals(nodes)
+    calls = []
+    render = hfs.hfs_literal
+
+    def counted(node):
+        calls.append(node)
+        return render(node)
+
+    monkeypatch.setattr(hfs, "hfs_literal", counted)
+    hfs.hfs_literal(s)
+    assert len(calls) == 1 + sum(len(node.children) for node in nodes)
+    calls.clear()
+    hfs.hfs_literal(s)
+    assert calls == [s]
