@@ -63,6 +63,7 @@ from .hfs import (
     make_set,
     ordered_pair,
     powerset,
+    subsets_of,
     union_family,
     unpair,
 )
@@ -347,15 +348,16 @@ class QSet:
     ``picks`` holds, per member in canonical order, the (lifted pairs, least
     element) of each order the member may contribute; Q_S is every union of
     one pick per member, so ``len`` is the product of the pick counts.
-    ``children`` builds the Q's as sets, in canonical order, on first read.
-    Equality is equality of the sets of Q's, so it builds them.
+    ``children`` builds the Q's as sets, in canonical order, on first read:
+    every Q is a subset of the union of all picks' pairs, so each pick
+    becomes a tuple of positions in that base once, and the kernel orders
+    the Q's by their merged positions (:func:`subsets_of`).  Equality is
+    equality of the sets of Q's, so it builds them.
     """
 
-    __slots__ = ("family", "kind", "picks", "_set")
+    __slots__ = ("picks", "_set")
 
-    def __init__(self, family: Family, kind: OrderKind, picks: tuple):
-        self.family = family
-        self.kind = kind
+    def __init__(self, picks: tuple):
         self.picks = picks
         self._set = None
 
@@ -365,10 +367,21 @@ class QSet:
     @property
     def children(self) -> tuple:
         if self._set is None:
-            self._set = make_set(
-                make_set(p for pairs, _ in combo for p in pairs)
-                for combo in itertools.product(*self.picks)
+            base = make_set(
+                p for member_picks in self.picks for pairs, _ in member_picks for p in pairs
             )
+            position = {p: i for i, p in enumerate(base.children)}
+            indexed = [
+                [tuple(position[p] for p in pairs) for pairs, _ in member_picks]
+                for member_picks in self.picks
+            ]
+            del position
+            # Members' pairs are disjoint, so each Q's merged positions are
+            # distinct; each pick's are increasing, so sorting merges runs.
+            self._set = subsets_of(base, (
+                tuple(sorted(itertools.chain.from_iterable(combo)))
+                for combo in itertools.product(*indexed)
+            ))
         return self._set.children
 
     def __eq__(self, other):
@@ -416,12 +429,12 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
     filter is re-run and must agree.
     """
     if variant is U2Variant.LITERAL:
-        return QSet(family, kind, _literal_picks(family, kind, powerset_cap))
+        return QSet(_literal_picks(family, kind, powerset_cap))
     if variant is not U2Variant.UNION_OF_PRODUCTS:
         raise TypeError(f"unknown variant: {variant!r}")
 
     members = family.members.children
-    qs = QSet(family, kind, tuple(_eligible_orders(a, kind) for a in members))
+    qs = QSet(tuple(_eligible_orders(a, kind) for a in members))
     count = len(qs)
     if count > product_cap:
         raise CapExceeded(f"{count} combined relations exceed cap {product_cap}")

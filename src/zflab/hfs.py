@@ -9,6 +9,15 @@ never depends on sharing.  Each node renders its literal once and keeps the
 text, so a subset shared by many sets (a tagged pair inside every relation of
 Q_S, say) is printed once per process however often it is reached.
 
+Subsets of one base are ordered without comparing canonical keys
+(:func:`subsets_of`).  Subsets of a canonically sorted base compare first
+by rank, then by size, then lexicographically on their children; position
+order on the base is canonical order, so comparing children
+lexicographically is comparing their positions lexicographically, and a
+subset's rank is one more than the rank of its last child.  Ordering by the
+integer key (1 + rank of the last picked child, size, positions) is thus
+canonical order.
+
 The literal grammar is ``set := '{' (set (',' set)*)? '}'`` with insignificant
 whitespace, nested at most ``MAX_LITERAL_DEPTH`` braces deep.  The empty set
 prints as ``{}``; emission always uses canonical child order.
@@ -16,6 +25,8 @@ prints as ``{}``; emission always uses canonical child order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import weakref
 from typing import Iterable, Iterator, NamedTuple
 
@@ -37,6 +48,7 @@ __all__ = [
     "ordered_pair",
     "parse_hfs",
     "powerset",
+    "subsets_of",
     "union_family",
     "unpair",
     "von_neumann",
@@ -174,6 +186,30 @@ def union_family(s: HfSet) -> HfSet:
     return make_set(x for child in s.children for x in child.children)
 
 
+def subsets_of(base: HfSet, index_sets: Iterable[tuple]) -> HfSet:
+    """The set of the subsets of ``base`` picked by ``index_sets``.
+
+    Each index set is a strictly increasing tuple of positions in
+    ``base.children``; equal index sets give one subset.  The subsets are
+    ordered by their positions (see the module docstring), never by
+    comparing canonical keys.  ValueError if an index set repeats a
+    position, descends, or leaves ``range(len(base))``.
+    """
+    children = base.children
+    n = len(children)
+    keys = set()
+    for s in index_sets:
+        if s and not (0 <= s[0] and s[-1] < n and all(map(operator.lt, s, s[1:]))):
+            raise ValueError(f"{s!r} is not a strictly increasing tuple of "
+                             f"positions below {n}")
+        keys.add((1 + children[s[-1]].rank, len(s), s) if s else (0, 0, s))
+    positions = [s for _, _, s in sorted(keys)]
+    del keys  # only the positions are needed to build the nodes
+    # A subsequence of a sorted tuple is sorted.
+    pick = children.__getitem__
+    return _node(tuple(_node(tuple(map(pick, s))) for s in positions))
+
+
 def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
     """The set of all subsets of ``a``.
 
@@ -182,12 +218,8 @@ def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
     n = len(a.children)
     if n > cap:
         raise CapExceeded(f"powerset of {n} elements exceeds cap {cap}")
-    children = a.children
-    subsets = []
-    for mask in range(1 << n):
-        picked = tuple(children[i] for i in range(n) if mask >> i & 1)
-        subsets.append(_node(picked))  # subsequence of sorted is sorted
-    return make_set(subsets)
+    return subsets_of(a, itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1)))
 
 
 def ordered_pair(x: HfSet, y: HfSet) -> HfSet:

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from helpers import DISJOINT4
-from zflab import cli, construction
+from zflab import cli, construction, hfs
 from zflab.errors import EmptyFamily, ParseError
-from zflab.hfs import EMPTY, MAX_LITERAL_DEPTH, make_set
+from zflab.hfs import EMPTY, MAX_LITERAL_DEPTH, make_set, parse_hfs
+from zflab.orders import OrderKind
 
 
 def write_family(tmp_path, literals, name="family.json"):
@@ -303,6 +304,9 @@ def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
     ("verify_disjoint4_pol", DISJOINT4, ["--kind", "pol"]),
     # 48 Q's, each repeating tagged pairs the others print.
     ("enumerate_disjoint4_wellorder", DISJOINT4, ["--kind", "wellorder"]),
+    # 36 Q's of 4, 5 and 6 pairs: the Q's order by size before positions.
+    ("enumerate_unique_universal", ["{{},{{}}}", "{{},{{{}}}}"],
+     ["--kind", "unique-universal"]),
 ])
 def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
     command = golden.split("_")[0]
@@ -447,6 +451,16 @@ def test_enumerate_builds_its_q_s_once(tmp_path, monkeypatch):
     assert run_in(tmp_path, monkeypatch, ["{{}}", "{{},{{}}}"],
                   ["--out", "r.json"], command="enumerate") == 0
     assert builds == [2]
+
+
+@pytest.mark.parametrize("kind,size", [(OrderKind.WELL_ORDER, 48),
+                                       (OrderKind.PARTIAL_ORDER_WITH_LEAST, 72)])
+def test_q_s_children_call_make_set_at_most_once(monkeypatch, kind, size):
+    family = construction.Family.of(parse_hfs(text) for text in DISJOINT4)
+    qs = construction.build_QS(family, construction.U2Variant.UNION_OF_PRODUCTS, kind)
+    calls = count_calls(monkeypatch, hfs.make_set)
+    assert len(qs.children) == len(qs) == size
+    assert len(calls) <= 1
 
 
 def test_literal_u2_on_a_five_element_member_fails_the_order_cap(tmp_path, capsys):

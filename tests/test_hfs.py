@@ -22,6 +22,7 @@ from zflab.hfs import (
     ordered_pair,
     parse_hfs,
     powerset,
+    subsets_of,
     union_family,
     unpair,
     von_neumann,
@@ -158,6 +159,66 @@ def test_powerset_sizes_and_membership():
 def test_powerset_cap():
     with pytest.raises(CapExceeded):
         powerset(make_set(iter_hfs_by_rank(3)[:5]), cap=4)
+
+
+# --- subsets ordered by position ----------------------------------------------
+
+RANK3 = iter_hfs_by_rank(3)
+# Ranks 0-3, and rank 5: the tagged pairs (A, x) of a rank-3 member A.
+MIXED_RANKS = RANK3 + [ordered_pair(make_set(RANK3[1:4]), x) for x in RANK3[1:4]]
+
+
+def make_set_powerset(a: HfSet) -> HfSet:
+    """The powerset route that ``subsets_of`` replaced: every subset, then
+    one canonical-key sort."""
+    n = len(a.children)
+    return make_set(
+        make_set(a.children[i] for i in range(n) if mask >> i & 1)
+        for mask in range(1 << n)
+    )
+
+
+@st.composite
+def bases_and_index_sets(draw):
+    base = make_set(draw(st.lists(st.sampled_from(MIXED_RANKS), max_size=8)))
+    n = len(base)
+    positions = st.frozensets(st.integers(0, n - 1), max_size=4) if n else st.just(frozenset())
+    sets = [tuple(sorted(s)) for s in draw(st.lists(positions, max_size=10))]
+    sets += sets[:draw(st.integers(0, len(sets)))]  # repeated index sets
+    return base, draw(st.permutations(sets))
+
+
+@given(bases_and_index_sets())
+def test_subsets_of_matches_make_set(case):
+    base, sets = case
+    expected = make_set(make_set(base.children[i] for i in s) for s in sets)
+    assert subsets_of(base, sets) is expected
+
+
+def test_subsets_of_orders_empty_singletons_and_repeats():
+    base = make_set(MIXED_RANKS)
+    sets = [(18,), (), (0, 18), (3,), (), (0,), (18,), (1, 2, 3)]
+    expected = make_set(make_set(base.children[i] for i in s) for s in sets)
+    assert subsets_of(base, sets) is expected
+    assert len(expected) == 6
+    assert subsets_of(base, []) is EMPTY
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (1, 2, 2), (2, 1), (0, 3, 1), (5,), (0, 5), (-1, 0)])
+def test_subsets_of_rejects_positions_that_are_not_strictly_increasing_in_range(bad):
+    base = make_set(RANK3[:5])
+    with pytest.raises(ValueError):
+        subsets_of(base, [(0, 1), bad])
+
+
+def test_powerset_is_the_make_set_route_exhaustive():
+    for k in range(5):
+        for elems in itertools.combinations(RANK3, k):
+            a = make_set(elems)
+            assert powerset(a) is make_set_powerset(a)
+            if k <= 3:
+                square = cartesian(a, a)
+                assert powerset(square) is make_set_powerset(square)
 
 
 def test_cartesian_size_and_decode():
