@@ -12,6 +12,7 @@ literal-universe empty Q_S) are recorded without failing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -472,9 +473,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later ``main`` call."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = vars(_build_parser().parse_args(argv))
+        args = vars(_parser().parse_args(argv))
     except SystemExit as e:  # usage errors (exit 2) and --help (exit 0)
         return e.code
     try:

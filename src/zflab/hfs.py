@@ -3,11 +3,22 @@
 Every value is an immutable, canonically ordered tree: children are
 deduplicated and sorted rank-first (then by cardinality, then lexicographically
 on children), so extensional equality coincides with structural equality and
-each set has exactly one literal rendering.  Nodes are hash-consed through a
-weak intern table purely as an optimization; equality is content-based and
-never depends on sharing.  Each node renders its literal once and keeps the
-text, so a subset shared by many sets (a tagged pair inside every relation of
-Q_S, say) is printed once per process however often it is reached.
+each set has exactly one literal rendering.
+
+Nodes are hash-consed through a weak intern table keyed by the identities of
+their children, so two live sets with equal content are one object.  The key
+is sound because every set comes from the table: by induction on rank, equal
+children are the same objects, so equal sets have equal keys.  An entry's
+node holds its children, so their ids cannot be reused while the entry
+lives; a node's entry is dropped when the node dies, and an entry whose weak
+reference already reads None is overwritten.  Hence ``make_set`` deduplicates
+by identity, and building a node hashes only the ids, never a child's
+``__hash__``.  Equality stays extensional: ``==`` compares content and agrees
+with ``is``.
+
+Each node renders its literal once and keeps the text, so a subset shared by
+many sets (a tagged pair inside every relation of Q_S, say) is printed once
+per process however often it is reached.
 
 Subsets of one base are ordered without comparing canonical keys
 (:func:`subsets_of`).  Subsets of a canonically sorted base compare first
@@ -83,8 +94,8 @@ class HfSet:
         self._pair = None     # lazy ordered-pair decode: view or _NOT_A_PAIR
         self._literal = None  # lazy canonical literal text
 
-    # Equality is extensional.  Interned values usually short-circuit on
-    # identity; the structural fallback keeps equality correct regardless.
+    # Equality is extensional.  Equal sets are one object, so a comparison
+    # short-circuits on identity; the fallback compares content all the same.
     def __eq__(self, other):
         if self is other:
             return True
@@ -129,17 +140,47 @@ class OrderedPairView(NamedTuple):
 
 _NOT_A_PAIR = object()
 
-_intern: "weakref.WeakValueDictionary[tuple, HfSet]" = weakref.WeakValueDictionary()
+
+class _InternRef(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# Children's ids -> weak reference to their node (see the module docstring).
+_intern: "dict[tuple, _InternRef]" = {}
+
+
+def _forget(ref: _InternRef, table: dict = _intern) -> None:
+    """Drop a dead node's entry, unless a newer node has taken the key.
+
+    The table is bound as a default, so the callback reads no module global:
+    at shutdown the interpreter may clear those before the last nodes die.
+    """
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_get_key = operator.attrgetter("_key")
+_get_hash = operator.attrgetter("_hash")
 
 
 def _node(children: tuple) -> HfSet:
     """Intern a children tuple that is already sorted and duplicate-free."""
-    node = _intern.get(children)
-    if node is None:
-        rank = 1 + max((c.rank for c in children), default=-1)
-        key = (rank, len(children), tuple(c._key for c in children))
-        hashed = hash((rank, len(children)) + tuple(c._hash for c in children))
-        node = _intern.setdefault(children, HfSet(children, rank, key, hashed))
+    key = tuple(map(id, children))
+    ref = _intern.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    n = len(children)
+    # Children are sorted rank-first, so the last one has the largest rank.
+    rank = 1 + children[-1].rank if n else 0
+    node = HfSet(children, rank, (rank, n, tuple(map(_get_key, children))),
+                 hash((rank, n) + tuple(map(_get_hash, children))))
+    ref = _InternRef(node, _forget)
+    ref.key = key
+    _intern[key] = ref
     return node
 
 
@@ -150,12 +191,10 @@ def canonical_key(s: HfSet):
 
 def make_set(elems: Iterable[HfSet] = ()) -> HfSet:
     """The set of the given elements, deduplicated and canonically ordered."""
-    items = sorted(elems, key=canonical_key)
-    out = []
-    for x in items:
-        if not out or x is not out[-1] and x != out[-1]:
-            out.append(x)
-    return _node(tuple(out))
+    # Equal sets are one object (see the module docstring), so identity
+    # deduplicates.
+    unique = {id(x): x for x in elems}
+    return _node(tuple(sorted(unique.values(), key=_get_key)))
 
 
 EMPTY = make_set(())

@@ -124,11 +124,15 @@ def phi2_holds(i: Interval, x: Fraction) -> bool:
     return 2 * x == i.lo + i.hi
 
 
+def _distance_key(a_star: Fraction, x: Fraction) -> tuple:
+    """Where ``x`` falls in the distance order around a*: its distance from
+    a*, then ``x`` itself to break ties toward the smaller number."""
+    return abs(x - a_star), x
+
+
 def pol_compare(a_star: Fraction, x: Fraction, y: Fraction) -> bool:
     """Distance order around a*: nearer wins, equal distance prefers smaller."""
-    dx = abs(x - a_star)
-    dy = abs(y - a_star)
-    return dx <= dy and (dx != dy or x <= y)
+    return _distance_key(a_star, x) <= _distance_key(a_star, y)
 
 
 def sample_check_pol(i: Interval, sample: Iterable[Fraction]) -> PropertyReport:
@@ -147,9 +151,12 @@ def sample_check_pol(i: Interval, sample: Iterable[Fraction]) -> PropertyReport:
         points.add(x)
     points.add(a_star)
     elements = tuple(sorted(points))
+    # Each point's key once, then every ordered pair compared as pol_compare
+    # compares them.
+    keys = [_distance_key(a_star, x) for x in elements]
     rows = tuple(
-        sum(1 << j for j, y in enumerate(elements) if pol_compare(a_star, x, y))
-        for x in elements
+        sum(1 << j for j, ky in enumerate(keys) if kx <= ky)
+        for kx in keys
     )
     return properties_from_rows(rows, elements)
 

@@ -387,6 +387,37 @@ def test_benchmark_argv_shapes_parse(argv):
     assert (args.command, args.out) == (argv[0], "r.json")
 
 
+def test_reports_stay_identical_after_usage_errors_in_one_process(tmp_path, monkeypatch,
+                                                                 capsys):
+    # main reuses one parser; a failed parse and --help must leave it as built.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps({"family": DISJOINT4}))
+    assert run_cli(["--kind", "pol", "verify", "--family", "family.json"]) == 2
+    assert run_cli(["verify", "--help"]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--family", "family.json", "--kind", "pol"]
+    assert run_cli(argv) == 0
+    first = capsys.readouterr().out
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == first
+    assert first == (GOLDEN / "verify_disjoint4_pol.json").read_text()
+
+
+def test_module_entry_point_exits_cleanly_with_nodes_alive_at_shutdown(tmp_path):
+    # The intern table's callbacks run while the interpreter tears down its
+    # modules; any error there would print "Exception ignored in" to stderr.
+    (tmp_path / "family.json").write_text(json.dumps({"family": DISJOINT4}))
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "zflab.cli", "enumerate", "--family", "family.json"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["ok"] is True
+
+
 def wrapped(inner: str, times: int) -> str:
     return "{" * times + inner + "}" * times
 

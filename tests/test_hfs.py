@@ -1,5 +1,6 @@
-"""Kernel tests: canonical form, pairs, powersets, literals."""
+"""Kernel tests: canonical form, pairs, powersets, literals, interning."""
 
+import gc
 import itertools
 
 import pytest
@@ -364,3 +365,72 @@ def test_each_node_is_rendered_once(monkeypatch):
     calls.clear()
     hfs.hfs_literal(s)
     assert calls == [s]
+
+
+# --- interning by the children's identities -----------------------------------
+
+# Nested tuples describe sets without holding any, so a test can drop every
+# node it built and build the same sets again later.
+shapes = st.recursive(
+    st.just(()),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+def build(shape) -> HfSet:
+    return make_set(build(child) for child in shape)
+
+
+@given(originals=st.lists(shapes, min_size=1, max_size=4),
+       others=st.lists(shapes, max_size=4))
+def test_interning_survives_dropped_nodes_and_reused_ids(originals, others):
+    literals = [reference_literal(build(shape)) for shape in originals]
+    gc.collect()
+    # New nodes take the memory, and with it the ids, of the dropped ones.
+    unrelated = [build(shape) for shape in others]
+    unrelated += [ordered_pair(x, y) for x in unrelated for y in unrelated]
+    rebuilt = [build(shape) for shape in originals]
+    assert [reference_literal(s) for s in rebuilt] == literals
+    live = {}
+    for s in rebuilt + unrelated:
+        for node in subtree(s):
+            live[id(node)] = node
+    nodes = list(live.values())
+    for a in nodes:
+        assert parse_hfs(hfs_literal(a)) is a
+        for b in nodes:
+            assert (a == b) == (a is b)
+
+
+def test_intern_table_shrinks_back_after_a_dropped_powerset():
+    base = make_set(iter_hfs_by_rank(3))
+    assert len(base) == 16
+    gc.collect()
+    baseline = len(hfs._intern)
+    p = powerset(base)
+    assert len(p) == 2 ** 16
+    assert len(hfs._intern) > baseline + 2 ** 15
+    del p
+    gc.collect()
+    assert len(hfs._intern) == baseline
+    assert all(ref() is not None for ref in hfs._intern.values())
+
+
+def reference_fields(s: HfSet) -> tuple:
+    """(rank, canonical key, hash) computed from scratch, rank as one more
+    than the largest child rank."""
+    fields = [reference_fields(c) for c in s.children]
+    rank = 1 + max((r for r, _, _ in fields), default=-1)
+    key = (rank, len(fields), tuple(k for _, k, _ in fields))
+    return rank, key, hash((rank, len(fields)) + tuple(h for _, _, h in fields))
+
+
+def test_rank_key_and_hash_match_the_reference_on_rank3_sets_and_pairs():
+    universe = iter_hfs_by_rank(3)
+    sets = universe + [ordered_pair(x, y) for x in universe for y in universe]
+    assert len(sets) == 16 + 16 * 16
+    for s in sets:
+        assert (s.rank, canonical_key(s), hash(s)) == reference_fields(s)
+        keys = [reference_fields(c)[1] for c in s.children]
+        assert keys == sorted(set(keys))

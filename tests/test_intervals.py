@@ -1,10 +1,12 @@
 """Interval arm tests: parsing, choice values, the distance order."""
 
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from zflab import intervals
 from zflab.errors import EmptyInterval, ParseError, SampleOutsideInterval
 from zflab.intervals import (
     Interval,
@@ -139,6 +141,40 @@ def test_pol_compare_is_transitive(a_star, x, y, z):
 @given(_rats, _rats)
 def test_pol_compare_least_is_a_star(a_star, x):
     assert pol_compare(a_star, a_star, x)
+
+
+@given(_rats, _rats, _rats)
+def test_pol_compare_is_nearer_first_then_smaller(a_star, x, y):
+    dx, dy = abs(x - a_star), abs(y - a_star)
+    assert pol_compare(a_star, x, y) == (dx < dy or (dx == dy and x <= y))
+
+
+@st.composite
+def _intervals(draw):
+    lo, hi = draw(st.none() | _rats), draw(st.none() | _rats)
+    if lo is not None and hi is not None:
+        lo, hi = min(lo, hi), max(lo, hi)
+        if lo == hi:
+            return Interval(lo, hi, True, True)
+    return Interval(lo, hi, lo is not None and draw(st.booleans()),
+                    hi is not None and draw(st.booleans()))
+
+
+@given(_intervals(), st.lists(_rats, max_size=8), st.lists(_rats, max_size=8))
+def test_sample_rows_are_the_pol_compare_rows(i, points, offsets):
+    # Points mirrored around a* tie on distance, so the tie-break is reached.
+    a_star = choice_value(i)
+    sample = [x for x in points if x in i]
+    sample += [x for d in offsets for x in (a_star - d, a_star + d) if x in i]
+    with mock.patch.object(intervals, "properties_from_rows",
+                           wraps=intervals.properties_from_rows) as spy:
+        sample_check_pol(i, sample)
+    rows, elements = spy.call_args.args
+    assert elements == tuple(sorted(set(sample) | {a_star}))
+    assert rows == tuple(
+        sum(1 << j for j, y in enumerate(elements) if pol_compare(a_star, x, y))
+        for x in elements
+    )
 
 
 def test_sample_check_pol_worked_examples():
