@@ -564,12 +564,11 @@ def build_Fc(family: Family, qs: QSet) -> tuple:
     A Q chooses, for each member, the least element of the order it picks
     there, so F_c is the product of each member's distinct leasts.
     """
-    leasts = [dict.fromkeys(least for _, least in member_picks) for member_picks in qs.picks]
-    members = family.members.children
-    graphs = [
-        make_set(ordered_pair(a, m) for a, m in zip(members, chosen))
-        for chosen in itertools.product(*leasts)
+    tagged = [
+        [ordered_pair(a, m) for m in dict.fromkeys(least for _, least in member_picks)]
+        for a, member_picks in zip(family.members.children, qs.picks)
     ]
+    graphs = [make_set(chosen) for chosen in itertools.product(*tagged)]
     return tuple(ChoiceFunction(g) for g in sorted(graphs, key=canonical_key))
 
 

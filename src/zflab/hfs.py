@@ -14,7 +14,9 @@ lives; a node's entry is dropped when the node dies, and an entry whose weak
 reference already reads None is overwritten.  Hence ``make_set`` deduplicates
 by identity, and building a node hashes only the ids, never a child's
 ``__hash__``.  Equality stays extensional: ``==`` compares content and agrees
-with ``is``.
+with ``is``.  A node's hash is computed on its first ``__hash__``, so sets
+never hashed (most candidates of a scan) skip it.  ``ordered_pair`` builds
+its nodes directly: {x} sorts before {x,y}, and one key comparison orders x, y.
 
 Each node renders its literal once and keeps the text, so a subset shared by
 many sets (a tagged pair inside every relation of Q_S, say) is printed once
@@ -85,11 +87,11 @@ class HfSet:
     __slots__ = ("children", "rank", "_hash", "_key", "_members", "_pair", "_literal",
                  "__weakref__")
 
-    def __init__(self, children, rank, key, hashed):
+    def __init__(self, children, rank, key):
         self.children = children
         self.rank = rank
         self._key = key
-        self._hash = hashed
+        self._hash = None     # lazy hash, computed on the first __hash__
         self._members = None  # lazy frozenset of children
         self._pair = None     # lazy ordered-pair decode: view or _NOT_A_PAIR
         self._literal = None  # lazy canonical literal text
@@ -101,9 +103,11 @@ class HfSet:
             return True
         if not isinstance(other, HfSet):
             return NotImplemented
-        return self._hash == other._hash and self.children == other.children
+        return hash(self) == hash(other) and self.children == other.children
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.rank, len(self.children)) + tuple(map(hash, self.children)))
         return self._hash
 
     def __lt__(self, other):
@@ -162,7 +166,6 @@ def _forget(ref: _InternRef, table: dict = _intern) -> None:
 
 
 _get_key = operator.attrgetter("_key")
-_get_hash = operator.attrgetter("_hash")
 
 
 def _node(children: tuple) -> HfSet:
@@ -176,8 +179,7 @@ def _node(children: tuple) -> HfSet:
     n = len(children)
     # Children are sorted rank-first, so the last one has the largest rank.
     rank = 1 + children[-1].rank if n else 0
-    node = HfSet(children, rank, (rank, n, tuple(map(_get_key, children))),
-                 hash((rank, n) + tuple(map(_get_hash, children))))
+    node = HfSet(children, rank, (rank, n, tuple(map(_get_key, children))))
     ref = _InternRef(node, _forget)
     ref.key = key
     _intern[key] = ref
@@ -264,10 +266,9 @@ def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
 def ordered_pair(x: HfSet, y: HfSet) -> HfSet:
     """The pair-set encoding {{x},{x,y}}; collapses to {{x}} when x = y."""
     sx = _node((x,))
-    if x is y or x == y:
+    if x is y:
         return _node((sx,))
-    sxy = make_set((x, y))
-    return make_set((sx, sxy))
+    return _node((sx, _node((x, y) if x._key < y._key else (y, x))))
 
 
 def unpair(p: HfSet) -> OrderedPairView:

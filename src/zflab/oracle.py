@@ -13,16 +13,21 @@ membership alone.  What they do not redo: the n*n encoded pairs of a carrier
 are built once per scan into a pair table that every candidate and every
 membership test reads from, and whether a member admits a partial order with
 a least element is memoized on the member, so a member shared by many
-families is scanned once per process.
+families is scanned once per process.  Scans run from the full relation
+down, and such an order holds the diagonal and a full row, so that scan hits
+after 39 candidates on 3 elements and 2,255 on 4 (280 and 33,840 upward).
+A choice enumeration builds each (member, element) pair once, and
+:class:`EquivalenceVerdict` carries the graphs it enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CapExceeded, CrossCheckFailed, EmptyFamily
-from .hfs import HfSet, canonical_key, hfs_literal, is_member, make_set, ordered_pair
+from .hfs import (HfSet, canonical_key, hfs_literal, is_member, make_set, ordered_pair,
+                  von_neumann)
 
 __all__ = [
     "DEFAULT_PRODUCT_CAP",
@@ -65,9 +70,8 @@ def enumerate_choice_functions(family, cap: int = DEFAULT_PRODUCT_CAP) -> tuple:
         count *= len(a)
     if count > cap:
         raise CapExceeded(f"{count} choice functions exceed cap {cap}")
-    graphs = []
-    for picks in itertools.product(*[a.children for a in members]):
-        graphs.append(make_set(ordered_pair(a, x) for a, x in zip(members, picks)))
+    tagged = [[ordered_pair(a, x) for x in a.children] for a in members]
+    graphs = [make_set(picks) for picks in itertools.product(*tagged)]
     return tuple(sorted(graphs, key=canonical_key))
 
 
@@ -116,11 +120,12 @@ def _relations_of_kind(elements, kind_name: str):
     relation of the given kind.
 
     The n*n encoded pairs are built once into a table; each mask's relation
-    is assembled from it with make_set and tested by set membership.
+    is assembled from it with make_set and tested by set membership, from
+    the full relation down, so an existence scan for an order hits early.
     """
     enc = {(x, y): ordered_pair(x, y) for x in elements for y in elements}
     pairs = list(enc.values())
-    for mask in range(1 << len(pairs)):
+    for mask in reversed(range(1 << len(pairs))):
         rel = make_set(p for bit, p in enumerate(pairs) if mask >> bit & 1)
         if _relation_holds(kind_name, elements, rel, enc):
             yield rel
@@ -136,10 +141,7 @@ def _nested_singletons(n: int) -> list:
 
 
 def _von_neumann_chain(n: int) -> list:
-    out = []
-    for _ in range(n):
-        out.append(make_set(out))
-    return out
+    return [von_neumann(k) for k in range(n)]
 
 
 def count_orders(n: int, kind) -> int:
@@ -167,8 +169,13 @@ class EquivalenceVerdict:
     """Both sides of the choice/order equivalence, computed independently."""
 
     fingerprint: str
-    has_choice: bool
     all_members_have_pol: bool
+    # Every choice function's graph, canonically sorted.
+    graphs: tuple = field(repr=False)
+
+    @property
+    def has_choice(self) -> bool:
+        return bool(self.graphs)
 
     @property
     def agree(self) -> bool:
@@ -199,10 +206,8 @@ def verify_equivalence(family) -> EquivalenceVerdict:
     members = _family_members(family)
     # has_choice by actual enumeration, not by the member-size shortcut.
     graphs = enumerate_choice_functions(make_set(members), cap=DEFAULT_PRODUCT_CAP)
-    has_choice = len(graphs) > 0
-    all_pol = all(_pol_exists(a) for a in members)
     return EquivalenceVerdict(
         fingerprint=hfs_literal(make_set(members)),
-        has_choice=has_choice,
-        all_members_have_pol=all_pol,
+        all_members_have_pol=all(_pol_exists(a) for a in members),
+        graphs=graphs,
     )

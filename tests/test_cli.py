@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import DISJOINT4
-from zflab import cli, construction, hfs
+from zflab import cli, construction, hfs, oracle
 from zflab.errors import EmptyFamily, ParseError
 from zflab.hfs import EMPTY, MAX_LITERAL_DEPTH, make_set, parse_hfs
 from zflab.orders import OrderKind
@@ -316,6 +316,21 @@ def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
     assert (tmp_path / "r.json").read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["wellorder", "pol", "unique-universal"])
+def test_product_cap_fires_in_build_qs_before_any_choice_comparison(tmp_path, monkeypatch,
+                                                                     capsys, kind):
+    # Four choice functions and at least four Q's: |Q_S| >= the number of
+    # choice functions, so Q_S reaches the cap first and no oracle graph is
+    # compared under it.
+    status = run_in(tmp_path, monkeypatch, ["{{},{{}}}", "{{{}},{{{}}}}"],
+                    ["--kind", kind, "--product-cap", "3"])
+    assert status == 2
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"]["message"].endswith("combined relations exceed cap 3")
+    if kind == "wellorder":
+        assert out == (GOLDEN / "verify_product_cap3.json").read_text()
+
+
 def test_text_report_is_golden(tmp_path, monkeypatch):
     # 72 Q's through the text renderer.
     status = run_in(tmp_path, monkeypatch, DISJOINT4,
@@ -475,6 +490,24 @@ def test_verify_and_fuzz_never_build_a_q_s(tmp_path, monkeypatch, argv):
     (tmp_path / "family.json").write_text(json.dumps({"family": DISJOINT4}))
     assert run_cli(argv + ["--out", "r.json"]) == 0
     assert (len(choice_calls), builds) == (0, [])
+
+
+@pytest.mark.parametrize("argv,families", [
+    (["verify", "--family", "family.json", "--u2", "union"], 1),
+    (["verify", "--family", "family.json", "--u2", "literal"], 1),
+    (["enumerate", "--family", "family.json"], 1),
+    (["fuzz", "--trials", "25", "--seed", "7", "--kind", "pol", "--allow-empty"], 25),
+])
+def test_the_oracle_enumerates_choice_functions_once_per_family(tmp_path, monkeypatch,
+                                                                argv, families):
+    calls = count_calls(monkeypatch, oracle.enumerate_choice_functions)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps({"family": ["{{}}", "{{},{{}}}"]}))
+    assert run_cli(argv + ["--out", "r.json"]) == 0
+    assert len(calls) == families
+    if argv[0] == "fuzz":
+        samples = json.loads((tmp_path / "r.json").read_text())["fuzz"]["sample_families"]
+        assert [hfs.hfs_literal(args[0]) for args in calls[:5]] == samples
 
 
 def test_enumerate_builds_its_q_s_once(tmp_path, monkeypatch):

@@ -434,3 +434,35 @@ def test_rank_key_and_hash_match_the_reference_on_rank3_sets_and_pairs():
         assert (s.rank, canonical_key(s), hash(s)) == reference_fields(s)
         keys = [reference_fields(c)[1] for c in s.children]
         assert keys == sorted(set(keys))
+
+
+def test_ordered_pair_is_the_pair_set_built_without_make_set(monkeypatch):
+    universe = iter_hfs_by_rank(3)
+    expected = {(x, y): make_set((make_set((x,)), make_set((x, y))))
+                for x in universe for y in universe}
+    assert len(expected) == 256
+    calls = []
+    build = hfs.make_set
+
+    def counted(elems=()):
+        calls.append(elems)
+        return build(elems)
+
+    monkeypatch.setattr(hfs, "make_set", counted)
+    for (x, y), pair in expected.items():
+        assert ordered_pair(x, y) is pair
+    assert calls == []
+
+
+def test_hash_of_a_literal_nested_to_the_bound_is_computed_cold_on_first_use():
+    # Depth 4 at the core, so the literal nests exactly MAX_LITERAL_DEPTH deep.
+    text = "{" * (MAX_LITERAL_DEPTH - 4) + "{{},{{{}}}}" + "}" * (MAX_LITERAL_DEPTH - 4)
+    s = parse_hfs(text)
+    chain = subtree(s)
+    assert max(node.rank for node in chain) == MAX_LITERAL_DEPTH - 1
+    for node in chain:
+        node._hash = None  # cold, as if never hashed
+    table = {s: "deep"}
+    assert table[s] == "deep"
+    assert s in {EMPTY, s}
+    assert hash(s) == reference_fields(s)[2]

@@ -9,7 +9,7 @@ import pytest
 from helpers import UNIVERSE4, to_frozen
 from zflab import oracle
 from zflab.errors import CapExceeded, EmptyFamily
-from zflab.hfs import EMPTY, make_set, unpair
+from zflab.hfs import EMPTY, iter_hfs_by_rank, make_set, unpair
 from zflab.orders import OrderKind, enumerate_orders
 
 E, S1, S2, D = UNIVERSE4
@@ -148,3 +148,33 @@ def test_verify_equivalence_pol_side_matches_order_enumeration():
             for a in fam.children
         )
         assert verdict.all_members_have_pol == via_orders
+
+
+RANK3 = iter_hfs_by_rank(3)
+POL_MEMBERS = ([make_set(c) for k in range(5) for c in itertools.combinations(UNIVERSE4, k)]
+               + [make_set(RANK3[0:4]), make_set(RANK3[2:6]), make_set(RANK3[4:8])])
+
+
+def test_pol_search_matches_a_full_scan(monkeypatch):
+    monkeypatch.setattr(oracle, "_pol_memo", {})
+    for a in POL_MEMBERS:
+        every = list(oracle._relations_of_kind(a.children, "pol"))
+        assert oracle._pol_exists(a) == (len(a) > 0 and len(every) > 0)
+
+
+@pytest.mark.parametrize("size,bound", [(3, 39), (4, 2255)])
+def test_pol_search_tests_few_candidates_before_its_first_hit(monkeypatch, size, bound):
+    holds = oracle._relation_holds
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return holds(*args)
+
+    monkeypatch.setattr(oracle, "_relation_holds", counted)
+    for a in POL_MEMBERS:
+        if len(a) == size:
+            monkeypatch.setattr(oracle, "_pol_memo", {})
+            calls.clear()
+            assert oracle._pol_exists(a)
+            assert 0 < len(calls) <= bound
