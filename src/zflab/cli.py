@@ -316,17 +316,22 @@ def _random_sample(rng: random.Random, interval: Interval) -> list:
     return sample
 
 
+def _interval_entry(interval: Interval) -> dict:
+    """An interval, the point chosen from it, and whether that point meets
+    the choice condition."""
+    value = choice_value(interval)
+    return {
+        "interval": str(interval),
+        "choice_value": str(value),
+        "satisfies_condition": phi2_holds(interval, value),
+    }
+
+
 def _intervals(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
-    demo = []
-    for text in ("[1,3]", "(-inf,5]", "(0,+inf)", "(-inf,+inf)"):
-        interval = parse_interval(text)
-        value = choice_value(interval)
-        demo.append({
-            "interval": str(interval),
-            "choice_value": str(value),
-            "satisfies_condition": phi2_holds(interval, value),
-        })
-    report["demo"] = demo
+    report["demo"] = [
+        _interval_entry(parse_interval(text))
+        for text in ("[1,3]", "(-inf,5]", "(0,+inf)", "(-inf,+inf)")
+    ]
 
     named = []
     for text in cfg.literals:
@@ -336,12 +341,7 @@ def _intervals(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
             # The library rejects a closed infinite end with ValueError; on the
             # command line that is a malformed literal.
             raise ParseError(f"{text!r}: {e}") from None
-        value = choice_value(interval)
-        entry = {
-            "interval": str(interval),
-            "choice_value": str(value),
-            "satisfies_condition": phi2_holds(interval, value),
-        }
+        entry = _interval_entry(interval)
         if not entry["satisfies_condition"]:
             failures.append(f"{interval}: chosen point fails its condition")
         named.append(entry)

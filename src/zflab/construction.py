@@ -67,14 +67,7 @@ from .hfs import (
     union_family,
     unpair,
 )
-from .orders import (
-    OrderKind,
-    Relation,
-    _rows_satisfy,
-    _universal_indices,
-    enumerate_orders,
-    relation_over,
-)
+from .orders import OrderKind, Relation, least_index, order_rows, relation_over
 
 __all__ = [
     "ChoiceFunction", "DEFAULT_PRODUCT_CAP", "Family", "PipelineReport",
@@ -266,10 +259,8 @@ class _MemberRecord(NamedTuple):
     choice extraction needs one); on nonempty carriers this filters nothing.
     """
 
-    orders: tuple      # per order, its pairs lifted onto P_A x P_A
-    leasts: tuple      # per order, its least element
-    lifted: frozenset  # the lifted tuples, for the separation test
-    slices: dict       # _cross_check_qs's memo: product-pair submask -> valid?
+    picks: tuple  # per order, (its pairs lifted onto P_A x P_A, its least element)
+    slices: dict  # _cross_check_qs's memo: product-pair submask -> valid?
 
 
 _pair_cache: dict = {}    # member -> _PairTable
@@ -297,24 +288,15 @@ def _member_record(a: HfSet, kind: OrderKind) -> _MemberRecord:
     record = _member_cache.get(key)
     if record is None:
         table = _tagged_pairs(a)
-        orders = []
-        leasts = []
-        for r in enumerate_orders(a, kind):
-            universal = _universal_indices(r.rows)
-            if len(universal) == 1:
-                orders.append(tuple(p for p, (i, j) in zip(table.product.children, table.coords)
-                                    if r.rows[i] >> j & 1))
-                leasts.append(a.children[universal[0]])
-        record = _MemberRecord(tuple(orders), tuple(leasts), frozenset(orders), {})
+        picks = []
+        for rows in order_rows(len(a), kind):
+            least = least_index(rows, kind)
+            if least is not None:
+                picks.append((tuple(p for p, (i, j) in zip(table.product.children, table.coords)
+                                    if rows[i] >> j & 1), a.children[least]))
+        record = _MemberRecord(tuple(picks), {})
         _member_cache[key] = record
     return record
-
-
-def _eligible_orders(a: HfSet, kind: OrderKind) -> tuple:
-    """The orders member ``a`` may contribute to a Q, as (lifted pairs,
-    least element) picks."""
-    record = _member_record(a, kind)
-    return tuple(zip(record.orders, record.leasts))
 
 
 def _bit_layout(family: Family) -> list:
@@ -414,7 +396,8 @@ def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
         if bucket is not None:
             bucket.append(p)
     return all(
-        tuple(buckets[a]) in _member_record(a, kind).lifted for a in members
+        tuple(buckets[a]) in {pairs for pairs, _ in _member_record(a, kind).picks}
+        for a in members
     )
 
 
@@ -434,7 +417,7 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
         raise TypeError(f"unknown variant: {variant!r}")
 
     members = family.members.children
-    qs = QSet(tuple(_eligible_orders(a, kind) for a in members))
+    qs = QSet(tuple(_member_record(a, kind).picks for a in members))
     count = len(qs)
     if count > product_cap:
         raise CapExceeded(f"{count} combined relations exceed cap {product_cap}")
@@ -459,7 +442,7 @@ def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
         n = len(a) ** 2
         if n > powerset_cap:
             raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
-    picks = [_eligible_orders(a, kind) for a in members]
+    picks = [_member_record(a, kind).picks for a in members]
     by_mask = [
         {_mask(pick[0], 0, bit): pick for pick in member_picks}
         for (_, bit), member_picks in zip(_bit_layout(family), picks)
@@ -503,7 +486,7 @@ def _cross_check_qs(family: Family, kind: OrderKind, qs: QSet) -> None:
             for bit, (i, j) in enumerate(coords):
                 if submask >> bit & 1:
                     rows[i] |= 1 << j
-            ok = _rows_satisfy(tuple(rows), kind) and len(_universal_indices(rows)) == 1
+            ok = least_index(rows, kind) is not None
             memo[submask] = ok
         return ok
 

@@ -189,12 +189,12 @@ _pol_memo: dict = {}
 
 def _pol_exists(a: HfSet) -> bool:
     # Early-exit scan for any reflexive antisymmetric transitive relation
-    # with a least element.  Only needed for carriers small enough to scan.
+    # with a least element, over at most 4 elements like every order scan.
     found = _pol_memo.get(a)
     if found is None:
         n = len(a)
-        if n * n > 25:
-            raise CapExceeded(f"order search over {n} elements is out of scan range")
+        if n > 4:
+            raise CapExceeded(f"order search over {n} elements exceeds cap 4")
         found = n > 0 and next(_relations_of_kind(a.children, "pol"), None) is not None
         _pol_memo[a] = found
     return found

@@ -16,6 +16,13 @@ harmonized:
 
 The checkers answer exactly these conditions; on the empty carrier the first
 two hold vacuously while the third fails, and that asymmetry is preserved.
+
+Whether a relation is an order of a kind depends only on its shape, which
+index relates to which, so :func:`order_rows` enumerates the orders of each
+kind once per carrier size, as row tuples, and every carrier of that size
+reads them.  Well-orders come from permutations and, up to 3 elements, are
+always cross-checked against the brute-force filter over all row tuples;
+the other two kinds are that filter.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .errors import (
     PairOutOfCarrier,
     UnboundVariable,
 )
-from .formula import Formula, _eval, free_vars
+from .formula import Formula, eval_formula, free_vars
 from .hfs import (
     DEFAULT_POWERSET_CAP,
     HfSet,
@@ -48,9 +55,9 @@ from .hfs import (
 
 __all__ = [
     "OrderKind", "PropertyReport", "Relation", "enumerate_orders",
-    "least_element", "lift_order", "order_from_formula", "project_order",
-    "properties_from_rows", "relation_over", "relation_properties",
-    "satisfies", "well_order_literal",
+    "least_element", "least_index", "lift_order", "order_from_formula",
+    "order_rows", "project_order", "properties_from_rows", "relation_over",
+    "relation_properties", "satisfies", "well_order_literal",
 ]
 
 
@@ -79,13 +86,17 @@ class PropertyReport:
 class Relation:
     """A set of encoded pairs over a fixed carrier, with its matrix as bit rows."""
 
-    __slots__ = ("carrier", "pairs", "elements", "rows")
+    __slots__ = ("carrier", "pairs", "rows")
 
-    def __init__(self, carrier: HfSet, pairs: HfSet, elements: tuple, rows: tuple):
+    def __init__(self, carrier: HfSet, pairs: HfSet, rows: tuple):
         self.carrier = carrier
         self.pairs = pairs
-        self.elements = elements  # carrier children, canonical order
-        self.rows = rows          # rows[i] bit j set iff (e_i, e_j) in pairs
+        self.rows = rows  # rows[i] bit j set iff (e_i, e_j) in pairs
+
+    @property
+    def elements(self) -> tuple:
+        """The carrier's elements in canonical order; they index the rows."""
+        return self.carrier.children
 
     def __eq__(self, other):
         if not isinstance(other, Relation):
@@ -114,7 +125,7 @@ def relation_over(carrier: HfSet, pairs: HfSet) -> Relation:
         if i is None or j is None:
             raise PairOutOfCarrier(f"pair {p!r} has a component outside the carrier")
         rows[i] |= 1 << j
-    return Relation(carrier, pairs, elements, tuple(rows))
+    return Relation(carrier, pairs, tuple(rows))
 
 
 def _rows_reflexive(rows) -> bool:
@@ -170,19 +181,31 @@ def relation_properties(r: Relation) -> PropertyReport:
     return properties_from_rows(r.rows, r.elements)
 
 
-def _rows_satisfy(rows, kind: OrderKind) -> bool:
+def least_index(rows, kind: OrderKind) -> Optional[int]:
+    """The index of the least element when ``rows`` is an order of ``kind``
+    over a nonempty carrier, else None.
+
+    A nonempty order of any kind has exactly one element related to every
+    element: a well-order's first, a partial order's least (unique by
+    antisymmetry), or the unique universal one.
+    """
     if kind is OrderKind.WELL_ORDER:
-        return _rows_total(rows) and _rows_antisymmetric(rows) and _rows_transitive(rows)
-    if kind is OrderKind.PARTIAL_ORDER_WITH_LEAST:
-        return (
-            _rows_reflexive(rows)
-            and _rows_antisymmetric(rows)
-            and _rows_transitive(rows)
-            and (len(rows) == 0 or bool(_universal_indices(rows)))
-        )
-    if kind is OrderKind.UNIQUE_UNIVERSAL:
-        return len(_universal_indices(rows)) == 1
-    raise TypeError(f"unknown order kind: {kind!r}")
+        ok = _rows_total(rows) and _rows_antisymmetric(rows) and _rows_transitive(rows)
+    elif kind is OrderKind.PARTIAL_ORDER_WITH_LEAST:
+        ok = _rows_reflexive(rows) and _rows_antisymmetric(rows) and _rows_transitive(rows)
+    elif kind is OrderKind.UNIQUE_UNIVERSAL:
+        ok = True
+    else:
+        raise TypeError(f"unknown order kind: {kind!r}")
+    universal = _universal_indices(rows) if ok else []
+    return universal[0] if len(universal) == 1 else None
+
+
+def _rows_satisfy(rows, kind: OrderKind) -> bool:
+    least = least_index(rows, kind)
+    # The empty carrier is vacuously a well-order and a partial order with
+    # least, and has no unique universal element.
+    return least is not None or (not rows and kind is not OrderKind.UNIQUE_UNIVERSAL)
 
 
 def satisfies(r: Relation, kind: OrderKind) -> bool:
@@ -245,7 +268,7 @@ def order_from_formula(a: HfSet, phi: Formula, env: Mapping = (), var: str | Non
     holds = []
     for x in a.children:
         scope[var] = x
-        holds.append(_eval(phi, scope))
+        holds.append(eval_formula(phi, scope))
     if sum(holds) != 1:
         raise NotUniquelySatisfied(
             f"formula holds at {sum(holds)} elements of {a!r}, need exactly 1"
@@ -258,58 +281,64 @@ def order_from_formula(a: HfSet, phi: Formula, env: Mapping = (), var: str | Non
     return relation_over(a, make_set(pairs))
 
 
-_enum_cache: dict = {}
+_rows_cache: dict = {}  # (n, kind) -> row tuples of every order of kind
 
 
-def _pair_table(a: HfSet) -> list:
-    # enc[i][j] is the encoded pair (e_i, e_j); shared across enumerations.
-    elements = a.children
-    return [[ordered_pair(x, y) for y in elements] for x in elements]
+def _chain_rows(perm: tuple) -> tuple:
+    # The well-order listing the indices in ``perm`` from least to greatest.
+    rows = [0] * len(perm)
+    above = 0
+    for i in reversed(perm):
+        above |= 1 << i
+        rows[i] = above
+    return tuple(rows)
 
 
-def enumerate_orders(a: HfSet, kind: OrderKind, cross_check: bool = False) -> tuple:
+def _brute_force_rows(n: int, kind: OrderKind) -> list:
+    # Every row tuple over n indices that meets the condition of ``kind``.
+    return [rows for rows in itertools.product(range(1 << n), repeat=n)
+            if _rows_satisfy(rows, kind)]
+
+
+def order_rows(n: int, kind: OrderKind) -> tuple:
+    """Every order of ``kind`` over n indexed elements, as row tuples.
+
+    Exhaustive over the 2**(n*n) row tuples, so n is capped at 4, and
+    computed once per (n, kind).  Well-orders are generated from
+    permutations (n! of them) and, for n at most 3, re-derived from the
+    brute-force filter; CrossCheckFailed if the two disagree.
+    """
+    key = (n, kind)
+    found = _rows_cache.get(key)
+    if found is None:
+        if n > 4:
+            raise CapExceeded(f"order enumeration over {n} elements exceeds cap 4")
+        if kind is OrderKind.WELL_ORDER:
+            found = tuple(_chain_rows(perm) for perm in itertools.permutations(range(n)))
+            if n <= 3 and set(_brute_force_rows(n, kind)) != set(found):
+                raise CrossCheckFailed("permutation route disagrees with subset filter")
+        else:
+            found = tuple(_brute_force_rows(n, kind))
+        _rows_cache[key] = found
+    return found
+
+
+def enumerate_orders(a: HfSet, kind: OrderKind) -> tuple:
     """All relations over ``a`` of the given kind, canonically ordered.
 
-    Exhaustive over the 2**(n*n) subsets of a x a, so the carrier is capped at
-    4 elements.  Well-orders are generated from permutations (n! witnesses);
-    ``cross_check=True`` re-derives them from the brute-force filter for
-    carriers of at most 3 elements and raises CrossCheckFailed on disagreement.
+    Each is one row tuple of :func:`order_rows` over ``a``'s elements, its
+    pairs taken from a table of the n*n encoded pairs built once per call.
     """
-    key = (a, kind)
-    cached = _enum_cache.get(key)
-    if cached is not None and not cross_check:
-        return cached
-    n = len(a.children)
-    if n > 4:
-        raise CapExceeded(f"order enumeration over {n} elements exceeds cap 4")
-    enc = _pair_table(a)
-
-    def brute_force() -> list:
-        # Every subset of a x a that meets the condition of ``kind``.
-        found = []
-        for rows in itertools.product(range(1 << n), repeat=n):
-            if _rows_satisfy(rows, kind):
-                pairs = [
-                    enc[i][j] for i in range(n) for j in range(n) if rows[i] >> j & 1
-                ]
-                found.append(relation_over(a, make_set(pairs)))
-        return found
-
-    if kind is OrderKind.WELL_ORDER:
-        found = []
-        for perm in itertools.permutations(range(n)):
-            pairs = [
-                enc[perm[i]][perm[j]] for i in range(n) for j in range(i, n)
-            ]
-            found.append(relation_over(a, make_set(pairs)))
-    else:
-        found = brute_force()
-    result = tuple(sorted(found, key=lambda r: canonical_key(r.pairs)))
-    if cross_check and kind is OrderKind.WELL_ORDER and n <= 3:
-        if set(brute_force()) != set(result):
-            raise CrossCheckFailed("permutation route disagrees with subset filter")
-    _enum_cache[key] = result
-    return result
+    elements = a.children
+    n = len(elements)
+    shapes = order_rows(n, kind)
+    enc = [[ordered_pair(x, y) for y in elements] for x in elements]
+    found = [
+        Relation(a, make_set(enc[i][j] for i in range(n) for j in range(n) if rows[i] >> j & 1),
+                 rows)
+        for rows in shapes
+    ]
+    return tuple(sorted(found, key=lambda r: canonical_key(r.pairs)))
 
 
 def lift_order(r: Relation, a: HfSet | None = None) -> Relation:

@@ -1,13 +1,15 @@
 """Pipeline tests: universes, separation, combined relations, choice sets."""
 
+import ast
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import UNIVERSE4, to_frozen
-from zflab import cli, construction, oracle
+from zflab import cli, construction, oracle, orders
 from zflab.errors import CapExceeded, EmptyFamily, NoLeast
 from zflab.construction import (
     ChoiceFunction,
@@ -31,6 +33,7 @@ from zflab.construction import (
 from zflab.formula import parse_formula, separation
 from zflab.hfs import (
     EMPTY,
+    canonical_key,
     cartesian,
     hfs_literal,
     make_set,
@@ -387,9 +390,43 @@ def test_member_record_lifts_each_order_as_lift_order_does(a, kind):
         for r in enumerate_orders(a, kind)
         if relation_properties(r).least is not None
     )
-    record = construction._member_record(a, kind)
-    assert record.orders == expected
-    assert record.lifted == frozenset(expected)
+    lifted = [pairs for pairs, _ in construction._member_record(a, kind).picks]
+
+    def order(pairs):
+        return tuple(map(canonical_key, pairs))
+
+    assert len(lifted) == len(expected)
+    assert sorted(lifted, key=order) == sorted(expected, key=order)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = []
+    for path in sorted(Path(construction.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("zflab")):
+                private.extend(f"{path.name}: {alias.name}" for alias in node.names
+                               if alias.name.startswith("_"))
+    assert private == []
+
+
+def test_carriers_of_one_size_share_one_enumeration(monkeypatch):
+    satisfy = orders._rows_satisfy
+    calls = []
+
+    def counted(rows, kind):
+        calls.append(rows)
+        return satisfy(rows, kind)
+
+    monkeypatch.setattr(orders, "_rows_satisfy", counted)
+    monkeypatch.setattr(orders, "_rows_cache", {})
+    monkeypatch.setattr(construction, "_member_cache", {})
+    triples = [make_set(c) for c in itertools.combinations(UNIVERSE4, 3)]
+    assert len(triples) == 4
+    for a in triples:
+        record = construction._member_record(a, OrderKind.PARTIAL_ORDER_WITH_LEAST)
+        assert len(record.picks) == 9
+    assert len(calls) == 2 ** 9
 
 
 def test_verify_with_an_empty_member_agrees_on_empty_choice_sets(tmp_path):
@@ -481,8 +518,7 @@ def test_literal_mask_filter_follows_members_that_admit_the_empty_relation(
         r = real(a, kind)
         if a not in admits:
             return r
-        return r._replace(orders=r.orders + ((),), leasts=r.leasts + (a.children[0],),
-                          lifted=r.lifted | {()})
+        return r._replace(picks=r.picks + (((), a.children[0]),))
 
     monkeypatch.setattr(construction, "_member_record", record)
     fam = Family.of(members)

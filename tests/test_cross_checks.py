@@ -51,39 +51,40 @@ def raises_cross_check(fn) -> bool:
     return False
 
 
+def patched_picks(change):
+    # Every member record's picks, passed through ``change(a, picks)``.
+    real = construction._member_record
+
+    def record(a, kind):
+        r = real(a, kind)
+        return r._replace(picks=change(a, r.picks))
+
+    return patched(construction, "_member_record", record)
+
+
 def break_qs_product():
     # The product route loses one admissible order; the subset filter does not.
-    real = construction._eligible_orders
-    return patched(construction, "_eligible_orders", lambda a, kind: real(a, kind)[1:])
+    return patched_picks(lambda a, picks: picks[1:])
 
 
 def break_literal_product():
     # Every member also admits the empty relation, so the literal survivors
     # are each member's orders beside the others' empty relation: a union of
     # slices, not a product.
-    real = construction._eligible_orders
-
-    def with_empty(a, kind):
-        picks = real(a, kind)
-        return picks + (((), picks[0][1]),)
-
-    return patched(construction, "_eligible_orders", with_empty)
+    return patched_picks(lambda a, picks: picks + (((), picks[0][1]),))
 
 
 def break_recorded_least():
     # A member's record names the wrong least element for its first order;
     # the lifted pairs, which the separation route reads, stay right.
-    real = construction._member_record
-
-    def corrupted(a, kind):
-        record = real(a, kind)
+    def corrupted(a, picks):
         if len(a) < 2:
-            return record
-        least, *rest = record.leasts
+            return picks
+        (pairs, least), *rest = picks
         other = next(x for x in a.children if x != least)
-        return record._replace(leasts=(other, *rest))
+        return ((pairs, other), *rest)
 
-    return patched(construction, "_member_record", corrupted)
+    return patched_picks(corrupted)
 
 
 def break_u1_count():
@@ -107,10 +108,9 @@ def u1_routes_disagree() -> bool:
 
 def wellorder_routes_disagree() -> bool:
     # The brute-force filter finds nothing; the permutation route still does.
-    with patched(orders, "_rows_satisfy", lambda rows, kind: False):
-        return raises_cross_check(
-            lambda: orders.enumerate_orders(TWO, WO, cross_check=True)
-        )
+    with patched(orders, "_rows_satisfy", lambda rows, kind: False), \
+            patched(orders, "_rows_cache", {}):
+        return raises_cross_check(lambda: orders.enumerate_orders(TWO, WO))
 
 
 def order_count_carriers_disagree() -> bool:

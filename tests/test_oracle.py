@@ -150,6 +150,18 @@ def test_verify_equivalence_pol_side_matches_order_enumeration():
         assert verdict.all_members_have_pol == via_orders
 
 
+def test_pol_search_over_five_elements_exceeds_the_cap_without_scanning(monkeypatch):
+    def scan(elements, kind_name):
+        raise AssertionError("scanned a 5-element carrier")
+
+    monkeypatch.setattr(oracle, "_relations_of_kind", scan)
+    monkeypatch.setattr(oracle, "_pol_memo", {})
+    five = make_set((*UNIVERSE4, make_set((S2,))))
+    with pytest.raises(CapExceeded, match="exceeds cap 4"):
+        oracle.verify_equivalence(make_set((five,)))
+    assert five not in oracle._pol_memo
+
+
 RANK3 = iter_hfs_by_rank(3)
 POL_MEMBERS = ([make_set(c) for k in range(5) for c in itertools.combinations(UNIVERSE4, k)]
                + [make_set(RANK3[0:4]), make_set(RANK3[2:6]), make_set(RANK3[4:8])])

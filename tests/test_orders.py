@@ -1,5 +1,6 @@
 """Order relation tests: properties, kinds, enumeration, lifting."""
 
+import functools
 import itertools
 
 import pytest
@@ -15,14 +16,18 @@ from zflab.errors import (
 )
 from zflab.formula import parse_formula
 from zflab.hfs import EMPTY, canonical_key, cartesian, make_set, ordered_pair
+from zflab import orders
 from zflab.orders import (
     OrderKind,
     Relation,
     enumerate_orders,
     least_element,
+    least_index,
     lift_order,
     order_from_formula,
+    order_rows,
     project_order,
+    properties_from_rows,
     relation_over,
     relation_properties,
     satisfies,
@@ -122,8 +127,7 @@ def test_enumeration_counts(n, wo, pol, uu):
 
 def test_enumeration_cross_check_small():
     for n in range(3):
-        enumerate_orders(make_set(UNIVERSE4[:n]), OrderKind.WELL_ORDER,
-                         cross_check=True)
+        enumerate_orders(make_set(UNIVERSE4[:n]), OrderKind.WELL_ORDER)
 
 
 def test_enumeration_cap():
@@ -218,3 +222,64 @@ def test_enumeration_is_canonically_sorted_and_deterministic():
     assert first == second
     literals = [r.pairs for r in first]
     assert literals == sorted(literals, key=canonical_key)
+
+
+# --- orders as row tuples, one enumeration per carrier size ------------------
+
+def _is_order(rows, kind) -> bool:
+    # Each kind's defining condition, read off the property report.
+    props = properties_from_rows(rows, range(len(rows)))
+    if kind is OrderKind.WELL_ORDER:
+        return props.total and props.antisymmetric and props.transitive
+    if kind is OrderKind.PARTIAL_ORDER_WITH_LEAST:
+        return (props.reflexive and props.antisymmetric and props.transitive
+                and (not rows or props.least is not None))
+    return props.least is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_force(n, kind) -> tuple:
+    return tuple(rows for rows in itertools.product(range(1 << n), repeat=n)
+                 if _is_order(rows, kind))
+
+
+@pytest.mark.parametrize("kind", list(OrderKind))
+@pytest.mark.parametrize("n", range(4))
+def test_order_rows_equal_the_brute_force_filter(n, kind):
+    assert sorted(order_rows(n, kind)) == sorted(_brute_force(n, kind))
+    assert len(set(order_rows(n, kind))) == len(order_rows(n, kind))
+    # least_index names the least element of exactly the nonempty orders.
+    for rows in itertools.product(range(1 << n), repeat=n):
+        least = least_index(rows, kind)
+        assert (least is not None) == (n > 0 and rows in _brute_force(n, kind))
+        if least is not None:
+            assert properties_from_rows(rows, range(n)).least == least
+
+
+@pytest.mark.parametrize("kind,counts", [
+    (OrderKind.WELL_ORDER, [1, 1, 2, 6, 24]),
+    (OrderKind.PARTIAL_ORDER_WITH_LEAST, [1, 1, 2, 9, 76]),
+    (OrderKind.UNIQUE_UNIVERSAL, [0, 1, 6, 147, 13500]),
+])
+def test_order_rows_counts(kind, counts):
+    assert [len(order_rows(n, kind)) for n in range(5)] == counts
+
+
+@pytest.mark.parametrize("kind", list(OrderKind))
+@pytest.mark.parametrize("a", [make_set(c) for k in range(5)
+                               for c in itertools.combinations(UNIVERSE4, k)])
+def test_enumeration_equals_decoding_every_satisfying_row_tuple(a, kind):
+    # Every satisfying row tuple's pairs, decoded back through relation_over.
+    elems = a.children
+    n = len(elems)
+    expected = sorted(
+        (relation_over(a, make_set(ordered_pair(elems[i], elems[j])
+                                   for i in range(n) for j in range(n) if rows[i] >> j & 1))
+         for rows in _brute_force(n, kind)),
+        key=lambda r: canonical_key(r.pairs),
+    )
+    got = enumerate_orders(a, kind)
+    assert [r.pairs for r in got] == [r.pairs for r in expected]
+    assert [r.rows for r in got] == [r.rows for r in expected]
+    assert all(r.carrier is a and r.elements == elems for r in got)
+
