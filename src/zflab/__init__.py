@@ -38,15 +38,6 @@ from .errors import (
     UnboundVariable,
     ZfLabError,
 )
-from .formula import (
-    eval_formula,
-    eval_term,
-    format_formula,
-    format_term,
-    free_vars,
-    parse_formula,
-    separation,
-)
 from .hfs import (
     EMPTY,
     HfSet,
@@ -91,3 +82,23 @@ from .orders import (
 )
 
 __version__ = "0.1.0"
+
+# The formula language is loaded on first use: no CLI command needs it, and
+# its import is a noticeable share of a cold process's start-up.
+_FORMULA_NAMES = frozenset((
+    "eval_formula",
+    "eval_term",
+    "format_formula",
+    "format_term",
+    "free_vars",
+    "parse_formula",
+    "separation",
+))
+
+
+def __getattr__(name: str):
+    if name in _FORMULA_NAMES:
+        from . import formula
+
+        return getattr(formula, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

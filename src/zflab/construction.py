@@ -34,9 +34,11 @@ Each member's P_A x P_A is encoded once, into a cached table of its pairs
 Q_S cross-check and both F_c routes read that table.
 
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
-cross-check while members are small (see :func:`run_pipeline`).  U2 is
-built only by :func:`build_U2_base`; the pipeline separates the literal U2
-one candidate mask at a time.
+cross-check while members are small (see :func:`run_pipeline`), as the union
+of per-member parts P(A x A); a member's part is built once and kept for the
+rest of the process once the member repeats, within a bound on the subsets
+kept.  U2 is built only by :func:`build_U2_base`; the pipeline separates the
+literal U2 one candidate mask at a time.
 
 Orders participate only when they have a least element, since the choice
 extraction takes exactly that least; on nonempty carriers every admissible
@@ -173,12 +175,60 @@ def build_universes(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) ->
     """The union of the family and the first candidate universe U1.
 
     U1 unions, over the members, the powerset of A x A: it houses every
-    relation over any single member.
+    relation over any single member.  Each member's part is read from
+    :data:`_u1_parts` (see :class:`_PartMemo`).
     """
     subsets = []
     for a in family.members.children:
-        subsets.extend(powerset(cartesian(a, a), cap=powerset_cap).children)
+        subsets.extend(_u1_parts.part(a, powerset_cap).children)
     return family.union, make_set(subsets)
+
+
+def _check_square_cap(a: HfSet, powerset_cap: int) -> None:
+    """The CapExceeded that ``powerset(cartesian(a, a), powerset_cap)`` raises."""
+    n = len(a) ** 2
+    if n > powerset_cap:
+        raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
+
+
+_SEEN = object()  # a member whose part was built once and not kept
+
+
+class _PartMemo:
+    """Each member's U1 part P(A x A), kept once per process.
+
+    Members of a run of families repeat, so a part is kept from its
+    member's second use on; a member used only once leaves its sentinel.
+    Parts are kept only while all kept parts hold at most ``limit`` subsets
+    together, so families whose members rarely repeat keep few parts.  The
+    cap is checked on every call, kept part or not, so a smaller cap raises
+    the same CapExceeded whatever is kept.
+    """
+
+    __slots__ = ("parts", "held")
+
+    # 2^13 subsets: 16 three-element members' parts, never a four-element one's.
+    limit = 1 << 13
+
+    def __init__(self):
+        self.parts: dict = {}  # member -> its part, or _SEEN
+        self.held = 0          # subsets in the kept parts
+
+    def part(self, a: HfSet, powerset_cap: int) -> HfSet:
+        _check_square_cap(a, powerset_cap)
+        kept = self.parts.get(a)
+        if isinstance(kept, HfSet):
+            return kept
+        part = powerset(cartesian(a, a), cap=powerset_cap)
+        if kept is None:
+            self.parts[a] = _SEEN
+        elif self.held + len(part) <= self.limit:
+            self.parts[a] = part
+            self.held += len(part)
+        return part
+
+
+_u1_parts = _PartMemo()
 
 
 def _u1_size(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) -> int:
@@ -191,9 +241,7 @@ def _u1_size(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) -> int:
     """
     coeffs: dict = {}  # intersection of some members -> signed multiplicity
     for a in family.members.children:
-        n = len(a) ** 2
-        if n > powerset_cap:
-            raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
+        _check_square_cap(a, powerset_cap)
         elems = frozenset(a.children)
         # Every term so far, intersected with A and with its sign flipped,
         # plus A on its own.
@@ -439,9 +487,7 @@ def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
     """
     members = family.members.children
     for a in members:
-        n = len(a) ** 2
-        if n > powerset_cap:
-            raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
+        _check_square_cap(a, powerset_cap)
     picks = [_member_record(a, kind).picks for a in members]
     by_mask = [
         {_mask(pick[0], 0, bit): pick for pick in member_picks}
@@ -675,7 +721,9 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
     Q_S is built once and F_c taken from it by least elements; of the Q's
     only the witness is built as a set.  U1 and U2
     are counted.  While no member has more than 3 elements (U1 at most 2^9
-    sets per member) U1 is also built and must match.
+    sets per member) U1 is also built and must match; it is built from
+    per-member parts P(A x A), each kept once per process from its member's
+    second use (:class:`_PartMemo`).
     """
     u1_size = _u1_size(family, powerset_cap)
     if all(len(a) <= 3 for a in family.members.children):

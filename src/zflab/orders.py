@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from .errors import (
     CapExceeded,
@@ -42,7 +42,6 @@ from .errors import (
     PairOutOfCarrier,
     UnboundVariable,
 )
-from .formula import Formula, eval_formula, free_vars
 from .hfs import (
     DEFAULT_POWERSET_CAP,
     HfSet,
@@ -52,6 +51,9 @@ from .hfs import (
     ordered_pair,
     unpair,
 )
+
+if TYPE_CHECKING:
+    from .formula import Formula
 
 __all__ = [
     "OrderKind", "PropertyReport", "Relation", "enumerate_orders",
@@ -257,6 +259,10 @@ def order_from_formula(a: HfSet, phi: Formula, env: Mapping = (), var: str | Non
     order whose least element is that witness.  The element variable is
     ``var`` or, by default, the unique free variable not bound by ``env``.
     """
+    # Imported here so that a process that never evaluates a formula (every
+    # CLI command) never loads the formula module.
+    from .formula import eval_formula, free_vars
+
     scope = dict(env)
     if var is None:
         unbound = sorted(free_vars(phi) - scope.keys())

@@ -433,6 +433,19 @@ def test_module_entry_point_exits_cleanly_with_nodes_alive_at_shutdown(tmp_path)
     assert json.loads(proc.stdout)["ok"] is True
 
 
+def test_importing_the_cli_leaves_the_formula_module_unloaded():
+    # The formula names load on first use, and ``zflab`` still exports them.
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, zflab.cli; loaded = 'zflab.formula' in sys.modules; "
+            "import zflab; print(loaded, zflab.parse_formula.__module__)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "zflab.formula"]
+
+
 def wrapped(inner: str, times: int) -> str:
     return "{" * times + inner + "}" * times
 

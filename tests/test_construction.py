@@ -1,6 +1,7 @@
 """Pipeline tests: universes, separation, combined relations, choice sets."""
 
 import ast
+import contextlib
 import itertools
 import json
 from pathlib import Path
@@ -33,9 +34,11 @@ from zflab.construction import (
 from zflab.formula import parse_formula, separation
 from zflab.hfs import (
     EMPTY,
+    HfSet,
     canonical_key,
     cartesian,
     hfs_literal,
+    iter_hfs_by_rank,
     make_set,
     ordered_pair,
     powerset,
@@ -132,6 +135,81 @@ def test_counted_u1_fails_the_cap_as_the_built_u1_does(cap):
     assert outcome(lambda: _u1_size(fam, cap)) == outcome(
         lambda: len(build_universes(fam, cap)[1])
     )
+
+
+@contextlib.contextmanager
+def fresh_u1_parts():
+    """An empty U1 part memo in place of the process's, for the block."""
+    saved = construction._u1_parts
+    construction._u1_parts = construction._PartMemo()
+    try:
+        yield construction._u1_parts
+    finally:
+        construction._u1_parts = saved
+
+
+def cap_outcome(size):
+    try:
+        return size()
+    except CapExceeded as e:
+        return str(e)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4), min_size=1, max_size=4))
+@example([make_set((E, S1)), make_set((S1, S2)), make_set((S2, D))])
+@example([EMPTY, make_set((E,)), make_set((E, S1, S2))])
+def test_u1_from_kept_parts_is_the_u1_built_afresh(members):
+    fam = Family.of(members)
+    with fresh_u1_parts() as memo:
+        cold = build_universes(fam)[1]
+        build_universes(fam)  # every member's second use
+        warm = build_universes(fam)[1]
+        assert all(isinstance(memo.parts[a], HfSet) for a in fam if len(a) <= 3)
+    assert warm is cold
+    assert len(warm) == _u1_size(fam)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 4, 8, 9])
+def test_kept_u1_parts_fail_the_cap_as_the_count_does(cap):
+    fam = Family.of([ONE, TWO, make_set((E, S1, S2))])
+    with fresh_u1_parts() as memo:
+        for _ in range(2):
+            build_universes(fam)
+        assert memo.held == 2 + 16 + 512
+        assert cap_outcome(lambda: _u1_size(fam, cap)) == cap_outcome(
+            lambda: len(build_universes(fam, cap)[1])
+        )
+
+
+def test_a_u1_part_is_kept_from_its_members_second_use():
+    with fresh_u1_parts() as memo:
+        build_universes(RUNNING)
+        assert all(memo.parts[a] is construction._SEEN for a in RUNNING)
+        assert memo.held == 0
+        build_universes(RUNNING)
+        assert [memo.parts[a] for a in RUNNING] == [powerset(cartesian(a, a)) for a in RUNNING]
+        assert memo.held == 2 + 16
+
+
+def test_a_four_element_members_u1_part_is_never_kept():
+    a4 = make_set(UNIVERSE4)
+    with fresh_u1_parts() as memo:
+        for _ in range(2):
+            assert len(build_universes(Family.of([a4]))[1]) == 1 << 16
+        assert memo.parts[a4] is construction._SEEN
+        assert memo.held == 0
+
+
+def test_kept_u1_parts_hold_at_most_2_13_subsets():
+    members = [make_set(c) for c in itertools.combinations(iter_hfs_by_rank(3)[:8], 3)][:40]
+    with fresh_u1_parts() as memo:
+        for a in members * 2:
+            build_universes(Family.of([a]))
+        kept = [p for p in memo.parts.values() if p is not construction._SEEN]
+        assert len(memo.parts) == 40
+        assert len(kept) == 16
+        assert memo.held == sum(map(len, kept)) <= 1 << 13
 
 
 SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]

@@ -91,6 +91,18 @@ def break_u1_count():
     return patched(construction, "_u1_size", lambda family, cap: 0)
 
 
+@contextlib.contextmanager
+def break_u1_part():
+    # The running family's kept U1 part of TWO loses its last subset, the
+    # whole of TWO x TWO, which ONE's part does not hold.
+    memo = construction._PartMemo()
+    with patched(construction, "_u1_parts", memo):
+        for _ in range(2):
+            construction.build_universes(RUNNING)
+        memo.parts[TWO] = make_set(memo.parts[TWO].children[:-1])
+        yield
+
+
 def qs_routes_disagree() -> bool:
     with break_qs_product():
         return raises_cross_check(lambda: construction.build_QS(RUNNING, UNION, WO))
@@ -103,6 +115,11 @@ def literal_picks_not_a_product() -> bool:
 
 def u1_routes_disagree() -> bool:
     with break_u1_count():
+        return raises_cross_check(lambda: construction.run_pipeline(RUNNING, UNION, WO))
+
+
+def kept_u1_part_corrupted() -> bool:
+    with break_u1_part():
         return raises_cross_check(lambda: construction.run_pipeline(RUNNING, UNION, WO))
 
 
@@ -124,6 +141,7 @@ CHECKS = {
     "build_QS": qs_routes_disagree,
     "build_QS_literal": literal_picks_not_a_product,
     "run_pipeline_u1": u1_routes_disagree,
+    "run_pipeline_u1_part": kept_u1_part_corrupted,
     "enumerate_orders": wellorder_routes_disagree,
     "count_orders": order_count_carriers_disagree,
 }
@@ -229,3 +247,22 @@ def test_verify_fails_on_the_same_breaks_under_python_O(tmp_path):
     debug, got = python_O(tmp_path, "[__debug__, t.verify_outcomes(sys.argv[1])]", str(tmp_path))
     assert debug is False
     assert got == EXPECTED_VERIFY
+
+
+def kept_u1_part_verify_outcome(family_path: str) -> list:
+    """Exit status, error type and ``ok`` of ``verify`` on the running
+    family with a corrupted kept U1 part."""
+    with break_u1_part():
+        status, rendered = cli.execute(cli.RunConfig(command="verify", family=family_path))
+    report = json.loads(rendered)
+    return [status, report["error"]["type"], report["ok"]]
+
+
+def test_verify_fails_on_a_corrupted_kept_u1_part(tmp_path):
+    family_path = write_running(tmp_path)
+    expected = [1, "CrossCheckFailed", False]
+    assert kept_u1_part_verify_outcome(family_path) == expected
+    debug, got = python_O(tmp_path, "[__debug__, t.kept_u1_part_verify_outcome(sys.argv[1])]",
+                          family_path)
+    assert debug is False
+    assert got == expected
