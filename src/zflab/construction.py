@@ -36,9 +36,9 @@ Q_S cross-check and both F_c routes read that table.
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
 cross-check while members are small (see :func:`run_pipeline`), as the union
 of per-member parts P(A x A); a member's part is built once and kept for the
-rest of the process once the member repeats, within a bound on the subsets
-kept.  U2 is built only by :func:`build_U2_base`; the pipeline separates the
-literal U2 one candidate mask at a time.
+rest of the process, within a bound on the subsets kept.  U2 is built only
+by :func:`build_U2_base`; the pipeline separates the literal U2 one
+candidate mask at a time.
 
 Orders participate only when they have a least element, since the choice
 extraction takes exactly that least; on nonempty carriers every admissible
@@ -191,18 +191,13 @@ def _check_square_cap(a: HfSet, powerset_cap: int) -> None:
         raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
 
 
-_SEEN = object()  # a member whose part was built once and not kept
-
-
 class _PartMemo:
     """Each member's U1 part P(A x A), kept once per process.
 
-    Members of a run of families repeat, so a part is kept from its
-    member's second use on; a member used only once leaves its sentinel.
-    Parts are kept only while all kept parts hold at most ``limit`` subsets
-    together, so families whose members rarely repeat keep few parts.  The
-    cap is checked on every call, kept part or not, so a smaller cap raises
-    the same CapExceeded whatever is kept.
+    A part is kept on its member's first use while all kept parts hold at
+    most ``limit`` subsets together; past that, parts are built per call and
+    dropped.  The cap is checked on every call, kept part or not, so a
+    smaller cap raises the same CapExceeded whatever is kept.
     """
 
     __slots__ = ("parts", "held")
@@ -211,18 +206,16 @@ class _PartMemo:
     limit = 1 << 13
 
     def __init__(self):
-        self.parts: dict = {}  # member -> its part, or _SEEN
+        self.parts: dict = {}  # member -> its part
         self.held = 0          # subsets in the kept parts
 
     def part(self, a: HfSet, powerset_cap: int) -> HfSet:
         _check_square_cap(a, powerset_cap)
         kept = self.parts.get(a)
-        if isinstance(kept, HfSet):
+        if kept is not None:
             return kept
         part = powerset(cartesian(a, a), cap=powerset_cap)
-        if kept is None:
-            self.parts[a] = _SEEN
-        elif self.held + len(part) <= self.limit:
+        if self.held + len(part) <= self.limit:
             self.parts[a] = part
             self.held += len(part)
         return part
@@ -722,8 +715,8 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
     only the witness is built as a set.  U1 and U2
     are counted.  While no member has more than 3 elements (U1 at most 2^9
     sets per member) U1 is also built and must match; it is built from
-    per-member parts P(A x A), each kept once per process from its member's
-    second use (:class:`_PartMemo`).
+    per-member parts P(A x A), each kept once per process within a bound
+    (:class:`_PartMemo`).
     """
     u1_size = _u1_size(family, powerset_cap)
     if all(len(a) <= 3 for a in family.members.children):

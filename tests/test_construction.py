@@ -34,7 +34,6 @@ from zflab.construction import (
 from zflab.formula import parse_formula, separation
 from zflab.hfs import (
     EMPTY,
-    HfSet,
     canonical_key,
     cartesian,
     hfs_literal,
@@ -155,17 +154,19 @@ def cap_outcome(size):
         return str(e)
 
 
+SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]
+
+
 @settings(max_examples=10, deadline=None)
-@given(st.lists(st.sampled_from(SUBSETS4), min_size=1, max_size=4))
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=4))
 @example([make_set((E, S1)), make_set((S1, S2)), make_set((S2, D))])
 @example([EMPTY, make_set((E,)), make_set((E, S1, S2))])
 def test_u1_from_kept_parts_is_the_u1_built_afresh(members):
     fam = Family.of(members)
     with fresh_u1_parts() as memo:
         cold = build_universes(fam)[1]
-        build_universes(fam)  # every member's second use
+        assert all(a in memo.parts for a in fam)
         warm = build_universes(fam)[1]
-        assert all(isinstance(memo.parts[a], HfSet) for a in fam if len(a) <= 3)
     assert warm is cold
     assert len(warm) == _u1_size(fam)
 
@@ -174,19 +175,15 @@ def test_u1_from_kept_parts_is_the_u1_built_afresh(members):
 def test_kept_u1_parts_fail_the_cap_as_the_count_does(cap):
     fam = Family.of([ONE, TWO, make_set((E, S1, S2))])
     with fresh_u1_parts() as memo:
-        for _ in range(2):
-            build_universes(fam)
+        build_universes(fam)
         assert memo.held == 2 + 16 + 512
         assert cap_outcome(lambda: _u1_size(fam, cap)) == cap_outcome(
             lambda: len(build_universes(fam, cap)[1])
         )
 
 
-def test_a_u1_part_is_kept_from_its_members_second_use():
+def test_a_u1_part_is_kept_from_its_members_first_use():
     with fresh_u1_parts() as memo:
-        build_universes(RUNNING)
-        assert all(memo.parts[a] is construction._SEEN for a in RUNNING)
-        assert memo.held == 0
         build_universes(RUNNING)
         assert [memo.parts[a] for a in RUNNING] == [powerset(cartesian(a, a)) for a in RUNNING]
         assert memo.held == 2 + 16
@@ -197,7 +194,7 @@ def test_a_four_element_members_u1_part_is_never_kept():
     with fresh_u1_parts() as memo:
         for _ in range(2):
             assert len(build_universes(Family.of([a4]))[1]) == 1 << 16
-        assert memo.parts[a4] is construction._SEEN
+        assert a4 not in memo.parts
         assert memo.held == 0
 
 
@@ -206,13 +203,8 @@ def test_kept_u1_parts_hold_at_most_2_13_subsets():
     with fresh_u1_parts() as memo:
         for a in members * 2:
             build_universes(Family.of([a]))
-        kept = [p for p in memo.parts.values() if p is not construction._SEEN]
-        assert len(memo.parts) == 40
-        assert len(kept) == 16
-        assert memo.held == sum(map(len, kept)) <= 1 << 13
-
-
-SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]
+        assert list(memo.parts) == members[:16]
+        assert memo.held == sum(map(len, memo.parts.values())) <= 1 << 13
 
 
 @settings(max_examples=40, deadline=None)

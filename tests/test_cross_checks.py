@@ -97,8 +97,7 @@ def break_u1_part():
     # whole of TWO x TWO, which ONE's part does not hold.
     memo = construction._PartMemo()
     with patched(construction, "_u1_parts", memo):
-        for _ in range(2):
-            construction.build_universes(RUNNING)
+        construction.build_universes(RUNNING)
         memo.parts[TWO] = make_set(memo.parts[TWO].children[:-1])
         yield
 
