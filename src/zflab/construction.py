@@ -34,11 +34,12 @@ Each member's P_A x P_A is encoded once, into a cached table of its pairs
 Q_S cross-check and both F_c routes read that table.
 
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
-cross-check while members are small (see :func:`run_pipeline`), as the union
-of per-member parts P(A x A); a member's part is built once and kept for the
-rest of the process, within a bound on the subsets kept.  U2 is built only
-by :func:`build_U2_base`; the pipeline separates the literal U2 one
-candidate mask at a time.
+cross-check while members are small (see :func:`run_pipeline`), in mask
+coordinates: every subset of every member's A x A is a bit mask over the
+distinct pairs, so the check enumerates and deduplicates all of U1 without
+building a kernel set, and keeps nothing.  :func:`build_universes` is the
+literal kernel build.  U2 is built only by :func:`build_U2_base`; the
+pipeline separates the literal U2 one candidate mask at a time.
 
 Orders participate only when they have a least element, since the choice
 extraction takes exactly that least; on nonempty carriers every admissible
@@ -175,12 +176,13 @@ def build_universes(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) ->
     """The union of the family and the first candidate universe U1.
 
     U1 unions, over the members, the powerset of A x A: it houses every
-    relation over any single member.  Each member's part is read from
-    :data:`_u1_parts` (see :class:`_PartMemo`).
+    relation over any single member.  This is the literal kernel build; the
+    pipeline checks |U1| with :func:`_u1_masks` instead, which holds the same
+    subsets as bit masks.
     """
     subsets = []
     for a in family.members.children:
-        subsets.extend(_u1_parts.part(a, powerset_cap).children)
+        subsets.extend(powerset(cartesian(a, a), cap=powerset_cap).children)
     return family.union, make_set(subsets)
 
 
@@ -191,37 +193,26 @@ def _check_square_cap(a: HfSet, powerset_cap: int) -> None:
         raise CapExceeded(f"powerset of {n} elements exceeds cap {powerset_cap}")
 
 
-class _PartMemo:
-    """Each member's U1 part P(A x A), kept once per process.
+def _u1_masks(family: Family) -> tuple:
+    """U1 in mask coordinates: (pairs, masks).
 
-    A part is kept on its member's first use while all kept parts hold at
-    most ``limit`` subsets together; past that, parts are built per call and
-    dropped.  The cap is checked on every call, kept part or not, so a
-    smaller cap raises the same CapExceeded whatever is kept.
+    ``pairs`` lists the distinct pairs of the members' A x A, and pair i is
+    bit i; a pair shared by overlapping members is one kernel node, so one
+    bit.  ``masks`` holds every subset of every member's A x A as a mask, so
+    ``len(masks)`` is |U1|.  Nothing is kept between calls.
     """
-
-    __slots__ = ("parts", "held")
-
-    # 2^13 subsets: 16 three-element members' parts, never a four-element one's.
-    limit = 1 << 13
-
-    def __init__(self):
-        self.parts: dict = {}  # member -> its part
-        self.held = 0          # subsets in the kept parts
-
-    def part(self, a: HfSet, powerset_cap: int) -> HfSet:
-        _check_square_cap(a, powerset_cap)
-        kept = self.parts.get(a)
-        if kept is not None:
-            return kept
-        part = powerset(cartesian(a, a), cap=powerset_cap)
-        if self.held + len(part) <= self.limit:
-            self.parts[a] = part
-            self.held += len(part)
-        return part
-
-
-_u1_parts = _PartMemo()
+    bit: dict = {}  # pair -> its bit
+    masks = set()
+    for a in family.members.children:
+        full = 0
+        for p in cartesian(a, a).children:
+            full |= 1 << bit.setdefault(p, len(bit))
+        sub = full
+        while sub:
+            masks.add(sub)
+            sub = (sub - 1) & full
+        masks.add(0)
+    return list(bit), masks
 
 
 def _u1_size(family: Family, powerset_cap: int = DEFAULT_POWERSET_CAP) -> int:
@@ -714,13 +705,13 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
     Q_S is built once and F_c taken from it by least elements; of the Q's
     only the witness is built as a set.  U1 and U2
     are counted.  While no member has more than 3 elements (U1 at most 2^9
-    sets per member) U1 is also built and must match; it is built from
-    per-member parts P(A x A), each kept once per process within a bound
-    (:class:`_PartMemo`).
+    sets per member) U1 is also built and must match; it is built in mask
+    coordinates (:func:`_u1_masks`), each subset enumerated and deduplicated,
+    and nothing is kept.
     """
     u1_size = _u1_size(family, powerset_cap)
     if all(len(a) <= 3 for a in family.members.children):
-        built = len(build_universes(family, powerset_cap)[1])
+        built = len(_u1_masks(family)[1])
         if built != u1_size:
             raise CrossCheckFailed(f"counted |U1| {u1_size} != built |U1| {built}")
     u2_base_size, u2_size = _u2_sizes(family, variant)

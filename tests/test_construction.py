@@ -1,7 +1,6 @@
 """Pipeline tests: universes, separation, combined relations, choice sets."""
 
 import ast
-import contextlib
 import itertools
 import json
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import UNIVERSE4, to_frozen
-from zflab import cli, construction, oracle, orders
+from zflab import cli, construction, hfs, oracle, orders
 from zflab.errors import CapExceeded, EmptyFamily, NoLeast
 from zflab.construction import (
     ChoiceFunction,
@@ -136,17 +135,6 @@ def test_counted_u1_fails_the_cap_as_the_built_u1_does(cap):
     )
 
 
-@contextlib.contextmanager
-def fresh_u1_parts():
-    """An empty U1 part memo in place of the process's, for the block."""
-    saved = construction._u1_parts
-    construction._u1_parts = construction._PartMemo()
-    try:
-        yield construction._u1_parts
-    finally:
-        construction._u1_parts = saved
-
-
 def cap_outcome(size):
     try:
         return size()
@@ -161,50 +149,47 @@ SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]
 @given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=4))
 @example([make_set((E, S1)), make_set((S1, S2)), make_set((S2, D))])
 @example([EMPTY, make_set((E,)), make_set((E, S1, S2))])
-def test_u1_from_kept_parts_is_the_u1_built_afresh(members):
+def test_u1_masks_decode_to_the_literal_u1(members):
     fam = Family.of(members)
-    with fresh_u1_parts() as memo:
-        cold = build_universes(fam)[1]
-        assert all(a in memo.parts for a in fam)
-        warm = build_universes(fam)[1]
-    assert warm is cold
-    assert len(warm) == _u1_size(fam)
+    pairs, masks = construction._u1_masks(fam)
+    decoded = {make_set(p for i, p in enumerate(pairs) if m >> i & 1) for m in masks}
+    assert decoded == set(build_universes(fam)[1].children)
+    assert len(masks) == _u1_size(fam)
+
+
+def forbid(monkeypatch, owner, *names):
+    """Each ``owner.name`` raises if called."""
+    for name in names:
+        def call(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        monkeypatch.setattr(owner, name, call)
+
+
+@pytest.mark.parametrize("kind", ["wellorder", "pol"])
+def test_the_pipeline_builds_u1_without_kernel_powersets(kind, monkeypatch):
+    elements = iter_hfs_by_rank(3)[:12]
+    fam = Family.of(make_set(elements[i:i + 3]) for i in range(0, 12, 3))
+    forbid(monkeypatch, construction, "build_universes", "powerset")
+    forbid(monkeypatch, hfs, "powerset")
+    report = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind(kind))
+    # four disjoint 9-pair squares share only the empty relation
+    assert report.u1_size == 4 * 2**9 - 3
+
+
+def test_a_four_element_member_builds_no_u1(monkeypatch):
+    fam = Family.of([make_set(UNIVERSE4), ONE])
+    forbid(monkeypatch, construction, "_u1_masks", "build_universes")
+    report = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
+    assert report.u1_size == _u1_size(fam)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 4, 8, 9])
-def test_kept_u1_parts_fail_the_cap_as_the_count_does(cap):
+def test_the_pipeline_fails_the_cap_as_the_count_does(cap):
     fam = Family.of([ONE, TWO, make_set((E, S1, S2))])
-    with fresh_u1_parts() as memo:
-        build_universes(fam)
-        assert memo.held == 2 + 16 + 512
-        assert cap_outcome(lambda: _u1_size(fam, cap)) == cap_outcome(
-            lambda: len(build_universes(fam, cap)[1])
-        )
-
-
-def test_a_u1_part_is_kept_from_its_members_first_use():
-    with fresh_u1_parts() as memo:
-        build_universes(RUNNING)
-        assert [memo.parts[a] for a in RUNNING] == [powerset(cartesian(a, a)) for a in RUNNING]
-        assert memo.held == 2 + 16
-
-
-def test_a_four_element_members_u1_part_is_never_kept():
-    a4 = make_set(UNIVERSE4)
-    with fresh_u1_parts() as memo:
-        for _ in range(2):
-            assert len(build_universes(Family.of([a4]))[1]) == 1 << 16
-        assert a4 not in memo.parts
-        assert memo.held == 0
-
-
-def test_kept_u1_parts_hold_at_most_2_13_subsets():
-    members = [make_set(c) for c in itertools.combinations(iter_hfs_by_rank(3)[:8], 3)][:40]
-    with fresh_u1_parts() as memo:
-        for a in members * 2:
-            build_universes(Family.of([a]))
-        assert list(memo.parts) == members[:16]
-        assert memo.held == sum(map(len, memo.parts.values())) <= 1 << 13
+    assert cap_outcome(lambda: _u1_size(fam, cap)) == cap_outcome(
+        lambda: run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER, cap).u1_size
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,7 @@ from helpers import DISJOINT4
 from zflab import cli, construction, oracle, orders
 from zflab.construction import Family, U2Variant
 from zflab.errors import CrossCheckFailed
-from zflab.hfs import EMPTY, make_set
+from zflab.hfs import EMPTY, cartesian, make_set
 from zflab.orders import OrderKind
 
 ONE = make_set((EMPTY,))
@@ -91,15 +91,17 @@ def break_u1_count():
     return patched(construction, "_u1_size", lambda family, cap: 0)
 
 
-@contextlib.contextmanager
-def break_u1_part():
-    # The running family's kept U1 part of TWO loses its last subset, the
-    # whole of TWO x TWO, which ONE's part does not hold.
-    memo = construction._PartMemo()
-    with patched(construction, "_u1_parts", memo):
-        construction.build_universes(RUNNING)
-        memo.parts[TWO] = make_set(memo.parts[TWO].children[:-1])
-        yield
+def break_u1_masks():
+    # The running family's built U1 loses TWO's full square, the whole of
+    # TWO x TWO as a mask, which ONE's square does not hold.
+    real = construction._u1_masks
+
+    def masks(family):
+        pairs, built = real(family)
+        built.discard(sum(1 << pairs.index(p) for p in cartesian(TWO, TWO).children))
+        return pairs, built
+
+    return patched(construction, "_u1_masks", masks)
 
 
 def qs_routes_disagree() -> bool:
@@ -117,8 +119,8 @@ def u1_routes_disagree() -> bool:
         return raises_cross_check(lambda: construction.run_pipeline(RUNNING, UNION, WO))
 
 
-def kept_u1_part_corrupted() -> bool:
-    with break_u1_part():
+def u1_mask_corrupted() -> bool:
+    with break_u1_masks():
         return raises_cross_check(lambda: construction.run_pipeline(RUNNING, UNION, WO))
 
 
@@ -140,7 +142,7 @@ CHECKS = {
     "build_QS": qs_routes_disagree,
     "build_QS_literal": literal_picks_not_a_product,
     "run_pipeline_u1": u1_routes_disagree,
-    "run_pipeline_u1_part": kept_u1_part_corrupted,
+    "run_pipeline_u1_masks": u1_mask_corrupted,
     "enumerate_orders": wellorder_routes_disagree,
     "count_orders": order_count_carriers_disagree,
 }
@@ -248,20 +250,20 @@ def test_verify_fails_on_the_same_breaks_under_python_O(tmp_path):
     assert got == EXPECTED_VERIFY
 
 
-def kept_u1_part_verify_outcome(family_path: str) -> list:
+def u1_mask_verify_outcome(family_path: str) -> list:
     """Exit status, error type and ``ok`` of ``verify`` on the running
-    family with a corrupted kept U1 part."""
-    with break_u1_part():
+    family with a corrupted U1 mask set."""
+    with break_u1_masks():
         status, rendered = cli.execute(cli.RunConfig(command="verify", family=family_path))
     report = json.loads(rendered)
     return [status, report["error"]["type"], report["ok"]]
 
 
-def test_verify_fails_on_a_corrupted_kept_u1_part(tmp_path):
+def test_verify_fails_on_a_corrupted_u1_mask_set(tmp_path):
     family_path = write_running(tmp_path)
     expected = [1, "CrossCheckFailed", False]
-    assert kept_u1_part_verify_outcome(family_path) == expected
-    debug, got = python_O(tmp_path, "[__debug__, t.kept_u1_part_verify_outcome(sys.argv[1])]",
+    assert u1_mask_verify_outcome(family_path) == expected
+    debug, got = python_O(tmp_path, "[__debug__, t.u1_mask_verify_outcome(sys.argv[1])]",
                           family_path)
     assert debug is False
     assert got == expected
