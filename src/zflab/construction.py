@@ -29,9 +29,14 @@ The candidate universe U2 is deliberately built in two inequivalent ways:
   directly and, at micro scale, re-derives it from the subset filter and
   raises CrossCheckFailed unless the two agree.
 
-Each member's P_A x P_A is encoded once, into a cached table of its pairs
-((A,x),(A,y)) with their coordinates in A; the transported orders, U2, the
-Q_S cross-check and both F_c routes read that table.
+Each member's P_A x P_A has one bit layout: bit i*n + j of a member's mask
+is the pair ((A,x_i),(A,x_j)), x_i being the i-th element of A, so an
+order's mask is its rows laid end to end and row i is bits i*n to i*n+n-1.
+The transported orders, the literal U2, the Q_S cross-check and both F_c
+routes work on masks in that layout; a cached table of each member's n²
+tagged pairs, in bit order, turns a mask into pairs where a set is needed.
+An order's mask and the index of its least element depend only on |A|, so
+every member of one size shares them.
 
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
 cross-check while members are small (see :func:`run_pipeline`), in mask
@@ -51,9 +56,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, NoLeast, NotAPair
 from .hfs import (
@@ -69,6 +74,7 @@ from .hfs import (
     subsets_of,
     union_family,
     unpair,
+    von_neumann,
 )
 from .orders import OrderKind, Relation, least_index, order_rows, relation_over
 
@@ -250,7 +256,7 @@ def build_U2_base(family: Family, variant: U2Variant,
     takes the powerset of the union of the P_A x P_A themselves.  The two
     coincide exactly on singleton families.
     """
-    products = [_tagged_pairs(a).product for a in family.members.children]
+    products = [make_set(_cells(a)) for a in family.members.children]
     if variant is U2Variant.LITERAL:
         return make_set(
             q for product in products for q in powerset(product, cap=powerset_cap).children
@@ -275,103 +281,109 @@ def _u2_sizes(family: Family, variant: U2Variant) -> tuple:
 
 
 # --- per-member machinery, cached --------------------------------------------
+#
+# Masks follow the bit layout of the module docstring.  A mask over the union
+# base lays the members' squares end to end, in member order.
 
-class _PairTable(NamedTuple):
-    """A member's P_A x P_A, encoded once."""
-
-    product: HfSet  # its children: ((A,x),(A,y)) for x, y in A, canonically ordered
-    coords: tuple   # per child, (i, j) with x, y = A.children[i], A.children[j]
-    enc: dict       # (x, y) -> ((A,x),(A,y))
+_cells_cache: dict = {}  # member -> its tagged pairs, by bit
+_picks_cache: dict = {}  # (n, kind) -> every n-element member's picks
+_valid_cache: dict = {}  # (n, kind) -> every mask over n indices with a least element
 
 
-class _MemberRecord(NamedTuple):
-    """What the pipeline derives once per (member, kind).
+def _rows_mask(rows) -> int:
+    n = len(rows)
+    return sum(row << (i * n) for i, row in enumerate(rows))
 
-    The pipeline admits an order only when it has a least element (the
-    choice extraction needs one); on nonempty carriers this filters nothing.
+
+def _mask_rows(mask: int, n: int) -> tuple:
+    return tuple(mask >> (i * n) & ((1 << n) - 1) for i in range(n))
+
+
+def _bits(mask: int) -> list:
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def _cells(a: HfSet) -> tuple:
+    """A member's P_A x P_A, pair ((A,x_i),(A,x_j)) at position i*n + j."""
+    cells = _cells_cache.get(a)
+    if cells is None:
+        tag = [ordered_pair(a, x) for x in a.children]
+        cells = tuple(ordered_pair(x, y) for x in tag for y in tag)
+        _cells_cache[a] = cells
+    return cells
+
+
+def _picks(n: int, kind: OrderKind) -> tuple:
+    """Per order of ``kind`` over n indices with a least element (the choice
+    extraction needs one; on nonempty carriers every order has it), its
+    (mask, least index), in the canonical order of its lifted sets.
+
+    That order is the same for every n-element member: the tags (A,x) sort
+    as the x do, so every member's cells sort by one permutation of the
+    bits.  It is read off the first n naturals.
     """
+    key = (n, kind)
+    picks = _picks_cache.get(key)
+    if picks is None:
+        cells = _cells(von_neumann(n))
+        place = {p: r for r, p in enumerate(sorted(cells))}  # canonical rank
 
-    picks: tuple  # per order, (its pairs lifted onto P_A x P_A, its least element)
-    slices: dict  # _cross_check_qs's memo: product-pair submask -> valid?
+        # A member's nonempty lifted sets share one rank, so they sort by
+        # size, then by their pairs in canonical order.
+        def canonical(pick):
+            lifted = sorted(place[cells[b]] for b in _bits(pick[0]))
+            return len(lifted), lifted
 
-
-_pair_cache: dict = {}    # member -> _PairTable
-_member_cache: dict = {}  # (member, kind) -> _MemberRecord
-
-
-def _tagged_pairs(a: HfSet) -> _PairTable:
-    table = _pair_cache.get(a)
-    if table is None:
-        elements = a.children
-        tag = [ordered_pair(a, x) for x in elements]
-        n = len(tag)
-        cells = sorted(
-            ((ordered_pair(tag[i], tag[j]), (i, j)) for i in range(n) for j in range(n)),
-            key=lambda cell: canonical_key(cell[0]),
-        )
-        table = _PairTable(make_set(p for p, _ in cells), tuple(ij for _, ij in cells),
-                           {(elements[i], elements[j]): p for p, (i, j) in cells})
-        _pair_cache[a] = table
-    return table
-
-
-def _member_record(a: HfSet, kind: OrderKind) -> _MemberRecord:
-    key = (a, kind)
-    record = _member_cache.get(key)
-    if record is None:
-        table = _tagged_pairs(a)
         picks = []
-        for rows in order_rows(len(a), kind):
+        for rows in order_rows(n, kind):
             least = least_index(rows, kind)
             if least is not None:
-                picks.append((tuple(p for p, (i, j) in zip(table.product.children, table.coords)
-                                    if rows[i] >> j & 1), a.children[least]))
-        record = _MemberRecord(tuple(picks), {})
-        _member_cache[key] = record
-    return record
+                picks.append((_rows_mask(rows), least))
+        picks.sort(key=canonical)
+        picks = _picks_cache[key] = tuple(picks)
+    return picks
 
 
-def _bit_layout(family: Family) -> list:
-    """Per member, (offset, bit): a mask over the union base lays the
-    members' P_A x P_A end to end in member order, and pair p of member A is
-    bit ``offset + bit[p]``."""
-    layout = []
-    offset = 0
-    for a in family.members.children:
-        product = _tagged_pairs(a).product.children
-        layout.append((offset, {p: i for i, p in enumerate(product)}))
-        offset += len(product)
-    return layout
+def _valid_masks(n: int, kind: OrderKind) -> frozenset:
+    """Every mask over n indices whose rows have a least element under
+    ``kind``, found by scanning all 2^(n²) masks."""
+    key = (n, kind)
+    valid = _valid_cache.get(key)
+    if valid is None:
+        valid = _valid_cache[key] = frozenset(
+            mask for mask in range(1 << n * n) if least_index(_mask_rows(mask, n), kind) is not None
+        )
+    return valid
 
 
-def _mask(pairs, offset: int, bit: dict) -> int:
-    return sum(1 << (offset + bit[p]) for p in pairs)
+def _offsets(members) -> Iterable:
+    """Each member's first bit in the union base: the earlier members' n², summed."""
+    return itertools.accumulate((len(a) ** 2 for a in members), initial=0)
 
 
-def _pick_masks(layout: list, picks: tuple) -> list:
-    """Per member, each pick's pairs as a mask over the union base."""
-    return [
-        [_mask(pairs, offset, bit) for pairs, _ in member_picks]
-        for (offset, bit), member_picks in zip(layout, picks)
-    ]
+def _union_masks(qs: "QSet") -> list:
+    """Per member, each pick's mask over the union base."""
+    return [[mask << offset for mask, _ in member_picks]
+            for offset, member_picks in zip(_offsets(qs.members), qs.picks)]
 
 
 class QSet:
     """Q_S as per-member order picks.
 
-    ``picks`` holds, per member in canonical order, the (lifted pairs, least
-    element) of each order the member may contribute; Q_S is every union of
-    one pick per member, so ``len`` is the product of the pick counts.
-    ``children`` builds the Q's as sets, in canonical order, on first read:
-    every Q is a subset of the union of all picks' pairs, so each pick
-    becomes a tuple of positions in that base once, and the kernel orders
-    the Q's by their merged positions (:func:`subsets_of`).  Equality is
-    equality of the sets of Q's, so it builds them.
+    ``picks`` holds, per member of ``members`` (canonical order), the (mask,
+    least index) of each order the member may contribute; Q_S is every
+    union of one pick per member, so ``len`` is the product of the pick
+    counts.  ``children`` builds the Q's as sets, in canonical order, on
+    first read: every Q is a subset of the union of the members' cells, so
+    each pick becomes a tuple of positions in that base once, and the kernel
+    orders the Q's by their merged positions (:func:`subsets_of`).  Equality
+    is equality of the sets of Q's, so it builds them.
     """
 
-    __slots__ = ("picks", "_set")
+    __slots__ = ("members", "picks", "_set")
 
-    def __init__(self, picks: tuple):
+    def __init__(self, members: tuple, picks: tuple):
+        self.members = members
         self.picks = picks
         self._set = None
 
@@ -381,13 +393,12 @@ class QSet:
     @property
     def children(self) -> tuple:
         if self._set is None:
-            base = make_set(
-                p for member_picks in self.picks for pairs, _ in member_picks for p in pairs
-            )
+            cells = [_cells(a) for a in self.members]
+            base = make_set(itertools.chain.from_iterable(cells))
             position = {p: i for i, p in enumerate(base.children)}
             indexed = [
-                [tuple(position[p] for p in pairs) for pairs, _ in member_picks]
-                for member_picks in self.picks
+                [sorted(position[member_cells[b]] for b in _bits(mask)) for mask, _ in member_picks]
+                for member_cells, member_picks in zip(cells, self.picks)
             ]
             del position
             # Members' pairs are disjoint, so each Q's merged positions are
@@ -413,24 +424,18 @@ def phi1_holds(q: HfSet, family: Family, kind: OrderKind) -> bool:
     Pairs of ``q`` that are not tagged with a single family member constrain
     nothing and are ignored, mirroring the quantifier structure.
     """
-    members = family.members.children
-    buckets = {a: [] for a in members}
-    for p in q.children:
-        try:
+    for a in family.members.children:
+        index = {x: i for i, x in enumerate(a.children)}
+        mask = 0
+        for p in restrict_Q(q, a).children:
             left, right = unpair(p)
-            x_tag, _ = unpair(left)
-            y_tag, _ = unpair(right)
-        except NotAPair:
-            continue
-        if x_tag != y_tag:
-            continue
-        bucket = buckets.get(x_tag)
-        if bucket is not None:
-            bucket.append(p)
-    return all(
-        tuple(buckets[a]) in {pairs for pairs, _ in _member_record(a, kind).picks}
-        for a in members
-    )
+            i, j = index.get(unpair(left).second), index.get(unpair(right).second)
+            if i is None or j is None:  # tagged with A, but not an element of A
+                return False
+            mask |= 1 << (i * len(a) + j)
+        if mask not in {m for m, _ in _picks(len(a), kind)}:
+            return False
+    return True
 
 
 def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
@@ -444,12 +449,12 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
     filter is re-run and must agree.
     """
     if variant is U2Variant.LITERAL:
-        return QSet(_literal_picks(family, kind, powerset_cap))
+        return QSet(family.members.children, _literal_picks(family, kind, powerset_cap))
     if variant is not U2Variant.UNION_OF_PRODUCTS:
         raise TypeError(f"unknown variant: {variant!r}")
 
     members = family.members.children
-    qs = QSet(tuple(_member_record(a, kind).picks for a in members))
+    qs = QSet(members, tuple(_picks(len(a), kind) for a in members))
     count = len(qs)
     if count > product_cap:
         raise CapExceeded(f"{count} combined relations exceed cap {product_cap}")
@@ -472,11 +477,8 @@ def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
     members = family.members.children
     for a in members:
         _check_square_cap(a, powerset_cap)
-    picks = [_member_record(a, kind).picks for a in members]
-    by_mask = [
-        {_mask(pick[0], 0, bit): pick for pick in member_picks}
-        for (_, bit), member_picks in zip(_bit_layout(family), picks)
-    ]
+    picks = [_picks(len(a), kind) for a in members]
+    by_mask = [{pick[0]: pick for pick in member_picks} for member_picks in picks]
     empty = [member_masks.get(0) for member_masks in by_mask]
     survivors = []  # per surviving candidate, its pick for every member
     for index, member_masks in enumerate(by_mask):
@@ -487,10 +489,7 @@ def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
                 survivors.append(empty[:index] + [pick] + empty[index + 1:])
     if None not in empty:
         survivors.append(empty)
-    seen = [set() for _ in members]
-    for survivor in survivors:
-        for kept, pick in zip(seen, survivor):
-            kept.add(pick)
+    seen = [{survivor[k] for survivor in survivors} for k in range(len(members))]
     result = tuple(
         tuple(pick for pick in member_picks if pick in kept)
         for member_picks, kept in zip(picks, seen)
@@ -502,31 +501,15 @@ def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
 
 def _cross_check_qs(family: Family, kind: OrderKind, qs: QSet) -> None:
     """Re-derive Q_S by filtering every subset of the union base."""
-    layout = _bit_layout(family)
-    slices = []  # per member: (offset of its bits, coords, |A|, submask memo)
-    for a, (offset, _) in zip(family.members.children, layout):
-        slices.append((offset, _tagged_pairs(a).coords, len(a),
-                       _member_record(a, kind).slices))
-
-    def slice_ok(offset, coords, n, memo, mask):
-        submask = mask >> offset & ((1 << len(coords)) - 1)
-        ok = memo.get(submask)
-        if ok is None:
-            rows = [0] * n
-            for bit, (i, j) in enumerate(coords):
-                if submask >> bit & 1:
-                    rows[i] |= 1 << j
-            ok = least_index(rows, kind) is not None
-            memo[submask] = ok
-        return ok
-
-    width = sum(len(coords) for _, coords, _, _ in slices)
+    members = family.members.children
+    slices = [(offset, (1 << len(a) ** 2) - 1, _valid_masks(len(a), kind))
+              for offset, a in zip(_offsets(members), members)]
+    width = sum(len(a) ** 2 for a in members)
     filtered = {
         mask for mask in range(1 << width)
-        if all(slice_ok(*member, mask) for member in slices)
+        if all((mask >> offset & full) in valid for offset, full, valid in slices)
     }
-    # Express the picked Q's in the same mask coordinates.
-    enumerated = {sum(combo) for combo in itertools.product(*_pick_masks(layout, qs.picks))}
+    enumerated = {sum(combo) for combo in itertools.product(*_union_masks(qs))}
     if enumerated != filtered or len(enumerated) != len(qs):
         raise CrossCheckFailed("product enumeration disagrees with the subset filter")
 
@@ -556,11 +539,11 @@ def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
     present = frozenset(q.children)
     graph = []
     for a in family.members.children:
-        enc = _tagged_pairs(a).enc
+        cells, n = _cells(a), len(a)
         winners = [
             m
-            for m in a.children
-            if all(enc[m, b] in present for b in a.children)
+            for i, m in enumerate(a.children)
+            if all(p in present for p in cells[i * n:(i + 1) * n])  # row i: (m, b) for b in A
         ]
         if len(winners) != 1:
             raise NoLeast(
@@ -578,7 +561,7 @@ def build_Fc(family: Family, qs: QSet) -> tuple:
     there, so F_c is the product of each member's distinct leasts.
     """
     tagged = [
-        [ordered_pair(a, m) for m in dict.fromkeys(least for _, least in member_picks)]
+        [ordered_pair(a, a.children[i]) for i in dict.fromkeys(least for _, least in member_picks)]
         for a, member_picks in zip(family.members.children, qs.picks)
     ]
     graphs = [make_set(chosen) for chosen in itertools.product(*tagged)]
@@ -599,26 +582,20 @@ def build_Fc_literal(family: Family, qs: QSet,
     if k > powerset_cap:
         raise CapExceeded(f"separation over {k} candidate pairs exceeds cap {powerset_cap}")
     bit_of = {unpair(p): i for i, p in enumerate(candidates)}
-    layout = _bit_layout(family)
-    tests = []  # per (A, m): its candidate bit, and the union-base mask of ((A,m),(A,b))
-    for a, (offset, bit) in zip(family.members.children, layout):
-        enc = _tagged_pairs(a).enc
-        for m in family.union.children:
-            needed = [enc.get((m, b)) for b in a.children]
-            if None not in needed:  # m outside A: no Q in Q_S holds these pairs
-                tests.append((1 << bit_of[a, m], _mask(needed, offset, bit)))
+    # Per (A, m) with m in A (no Q in Q_S holds ((A,m),(A,b)) for m outside
+    # A): its candidate bit, and row m of A's square as union-base bits.
+    tests = [
+        (1 << bit_of[a, m], ((1 << len(a)) - 1) << (offset + i * len(a)))
+        for offset, a in zip(_offsets(family.members.children), family.members.children)
+        for i, m in enumerate(a.children)
+    ]
     valid_masks = set()
-    for combo in itertools.product(*_pick_masks(layout, qs.picks)):
+    for combo in itertools.product(*_union_masks(qs)):
         present = sum(combo)  # the pairs of one Q, as union-base bits
         valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
 
-    found = []
-    for mask in range(1 << k):
-        if mask in valid_masks:
-            graph = make_set(
-                candidates[i] for i in range(k) if mask >> i & 1
-            )
-            found.append(ChoiceFunction(graph))
+    found = [ChoiceFunction(make_set(candidates[i] for i in range(k) if mask >> i & 1))
+             for mask in range(1 << k) if mask in valid_masks]
     return tuple(sorted(found, key=lambda cf: canonical_key(cf.graph)))
 
 
@@ -666,19 +643,7 @@ class PipelineReport:
     fcs: tuple = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "kind": self.kind,
-            "family": self.family,
-            "u1_size": self.u1_size,
-            "u2_base_size": self.u2_base_size,
-            "u2_size": self.u2_size,
-            "qs_size": self.qs_size,
-            "fc_size": self.fc_size,
-            "q_s_empty": self.q_s_empty,
-            "f_c_all_valid": self.f_c_all_valid,
-            "witnesses": self.witnesses,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def _first_q(qs: QSet) -> HfSet:
@@ -687,14 +652,13 @@ def _first_q(qs: QSet) -> HfSet:
     All Q's share one rank, so the first has the fewest pairs, and for
     equal-size sets the canonically smaller one holds the least element of
     the symmetric difference.  Members' pairs are disjoint, so the first Q
-    takes from each member the canonically least of its smallest orders.
+    takes from each member the canonically least of its smallest orders:
+    its first pick (:func:`_picks`).
     """
-    parts = (
-        min((pairs for pairs, _ in member_picks),
-            key=lambda pairs: (len(pairs), tuple(map(canonical_key, pairs))))
-        for member_picks in qs.picks
+    return make_set(
+        _cells(a)[b] for a, member_picks in zip(qs.members, qs.picks)
+        for b in _bits(member_picks[0][0])
     )
-    return make_set(p for pairs in parts for p in pairs)
 
 
 def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,

@@ -425,13 +425,35 @@ A4 = make_set(UNIVERSE4)
 
 @pytest.mark.parametrize("a", SUBSETS4, ids=hfs_literal)
 def test_pair_table_is_the_tagged_product(a):
-    table = construction._tagged_pairs(a)
-    assert table.product.children == cartesian(build_PA(a), build_PA(a)).children
-    assert len(table.coords) == len(table.product) == len(table.enc)
-    for p, (i, j) in zip(table.product.children, table.coords):
+    cells = construction._cells(a)
+    n = len(a)
+    assert make_set(cells).children == cartesian(build_PA(a), build_PA(a)).children
+    assert len(cells) == len(make_set(cells)) == n * n
+    for bit, p in enumerate(cells):
+        i, j = divmod(bit, n)
         left, right = unpair(p)
         assert (unpair(left), unpair(right)) == ((a, a.children[i]), (a, a.children[j]))
-        assert table.enc[a.children[i], a.children[j]] == p
+
+
+def lifted_picks(a, kind):
+    """Each pick's mask of ``a`` as the set of its tagged pairs."""
+    cells = construction._cells(a)
+    return [make_set(cells[b] for b in construction._bits(mask))
+            for mask, _ in construction._picks(len(a), kind)]
+
+
+@pytest.mark.parametrize("kind", OrderKind)
+@pytest.mark.parametrize("a", SUBSETS4, ids=hfs_literal)
+def test_picks_come_in_the_canonical_order_of_their_lifted_sets(a, kind):
+    # _first_q takes each member's first pick for the canonically first Q.
+    lifted = lifted_picks(a, kind)
+    assert all(x < y for x, y in zip(lifted, lifted[1:]))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_mask_rows_inverts_rows_mask(n):
+    for rows in itertools.product(range(1 << n), repeat=n):
+        assert construction._mask_rows(construction._rows_mask(rows), n) == rows
 
 
 @pytest.mark.parametrize("a,kind", [
@@ -445,7 +467,7 @@ def test_member_record_lifts_each_order_as_lift_order_does(a, kind):
         for r in enumerate_orders(a, kind)
         if relation_properties(r).least is not None
     )
-    lifted = [pairs for pairs, _ in construction._member_record(a, kind).picks]
+    lifted = [pairs.children for pairs in lifted_picks(a, kind)]
 
     def order(pairs):
         return tuple(map(canonical_key, pairs))
@@ -475,12 +497,11 @@ def test_carriers_of_one_size_share_one_enumeration(monkeypatch):
 
     monkeypatch.setattr(orders, "_rows_satisfy", counted)
     monkeypatch.setattr(orders, "_rows_cache", {})
-    monkeypatch.setattr(construction, "_member_cache", {})
+    monkeypatch.setattr(construction, "_picks_cache", {})
     triples = [make_set(c) for c in itertools.combinations(UNIVERSE4, 3)]
     assert len(triples) == 4
     for a in triples:
-        record = construction._member_record(a, OrderKind.PARTIAL_ORDER_WITH_LEAST)
-        assert len(record.picks) == 9
+        assert len(construction._picks(len(a), OrderKind.PARTIAL_ORDER_WITH_LEAST)) == 9
     assert len(calls) == 2 ** 9
 
 
@@ -567,15 +588,16 @@ def test_literal_mask_filter_follows_members_that_admit_the_empty_relation(
         monkeypatch, members, admits):
     # The members in ``admits`` also admit the empty relation (least element:
     # their first element), for the mask filter and phi1 alike.
-    real = construction._member_record
+    # Picks are shared by the members of one size; these members differ in size.
+    assert len({len(a) for a in members}) == len(members)
+    real = construction._picks
+    sizes = {len(a) for a in admits}
 
-    def record(a, kind):
-        r = real(a, kind)
-        if a not in admits:
-            return r
-        return r._replace(picks=r.picks + (((), a.children[0]),))
+    def picks(n, kind):
+        found = real(n, kind)
+        return found + ((0, 0),) if n in sizes else found
 
-    monkeypatch.setattr(construction, "_member_record", record)
+    monkeypatch.setattr(construction, "_picks", picks)
     fam = Family.of(members)
     kind = OrderKind.WELL_ORDER
     expected = make_set(

@@ -52,37 +52,33 @@ def raises_cross_check(fn) -> bool:
 
 
 def patched_picks(change):
-    # Every member record's picks, passed through ``change(a, picks)``.
-    real = construction._member_record
-
-    def record(a, kind):
-        r = real(a, kind)
-        return r._replace(picks=change(a, r.picks))
-
-    return patched(construction, "_member_record", record)
+    # Every n-element member's picks, passed through ``change(n, picks)``.
+    real = construction._picks
+    return patched(construction, "_picks", lambda n, kind: change(n, real(n, kind)))
 
 
 def break_qs_product():
     # The product route loses one admissible order; the subset filter does not.
-    return patched_picks(lambda a, picks: picks[1:])
+    return patched_picks(lambda n, picks: picks[1:])
 
 
 def break_literal_product():
     # Every member also admits the empty relation, so the literal survivors
     # are each member's orders beside the others' empty relation: a union of
     # slices, not a product.
-    return patched_picks(lambda a, picks: picks + (((), picks[0][1]),))
+    return patched_picks(lambda n, picks: picks + ((0, picks[0][1]),))
 
 
 def break_recorded_least():
-    # A member's record names the wrong least element for its first order;
-    # the lifted pairs, which the separation route reads, stay right.
-    def corrupted(a, picks):
-        if len(a) < 2:
+    # The picks of every size from 2 up name the wrong least element for
+    # their first order; the masks, which the separation route reads, stay
+    # right.
+    def corrupted(n, picks):
+        if n < 2:
             return picks
-        (pairs, least), *rest = picks
-        other = next(x for x in a.children if x != least)
-        return ((pairs, other), *rest)
+        (mask, least), *rest = picks
+        other = next(i for i in range(n) if i != least)
+        return ((mask, other), *rest)
 
     return patched_picks(corrupted)
 
@@ -265,5 +261,42 @@ def test_verify_fails_on_a_corrupted_u1_mask_set(tmp_path):
     assert u1_mask_verify_outcome(family_path) == expected
     debug, got = python_O(tmp_path, "[__debug__, t.u1_mask_verify_outcome(sys.argv[1])]",
                           family_path)
+    assert debug is False
+    assert got == expected
+
+
+@contextlib.contextmanager
+def break_mask_layout():
+    # Orders are laid into masks column by column, each order transposed;
+    # the subset filter still reads masks row by row.  The picks cache
+    # starts empty, so that every size's picks are laid out anew.
+    def column_major(rows):
+        n = len(rows)
+        return sum((row >> j & 1) << (j * n + i) for i, row in enumerate(rows) for j in range(n))
+
+    with patched(construction, "_picks_cache", {}), \
+            patched(construction, "_rows_mask", column_major):
+        yield
+
+
+def mask_layout_verify_outcome(directory: str) -> list:
+    """Exit status, error type and ``ok`` of ``verify --kind pol`` on one
+    3-element member, with orders laid into masks column-major.  A
+    well-order transposed is a well-order, so ``pol`` is the kind that
+    shows it."""
+    path = os.path.join(directory, "three.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"family": ["{{},{{}},{{{}}}}"]}, fh)
+    with break_mask_layout():
+        status, rendered = cli.execute(cli.RunConfig(command="verify", family=path, kind="pol"))
+    report = json.loads(rendered)
+    return [status, report["error"]["type"], report["ok"]]
+
+
+def test_verify_fails_on_orders_laid_column_major(tmp_path):
+    expected = [1, "CrossCheckFailed", False]
+    assert mask_layout_verify_outcome(str(tmp_path)) == expected
+    debug, got = python_O(tmp_path, "[__debug__, t.mask_layout_verify_outcome(sys.argv[1])]",
+                          str(tmp_path))
     assert debug is False
     assert got == expected
