@@ -308,11 +308,14 @@ def _random_interval(rng: random.Random) -> Interval:
 
 def _random_sample(rng: random.Random, interval: Interval) -> list:
     base = choice_value(interval)
+    p, q = base.numerator, base.denominator
     sample = []
     for _ in range(rng.randint(0, 8)):
-        offset = Fraction(rng.randint(-24, 24), rng.randint(1, 6))
-        if interval.contains(base + offset):
-            sample.append(base + offset)
+        num = rng.randint(-24, 24)
+        den = rng.randint(1, 6)
+        x = Fraction(p * den + num * q, q * den)  # base + num/den
+        if interval.contains(x):
+            sample.append(x)
     return sample
 
 

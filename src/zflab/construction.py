@@ -27,7 +27,9 @@ The candidate universe U2 is deliberately built in two inequivalent ways:
   Candidates here can combine pairs from all members, and Q_S is exactly the
   product of the per-member order sets.  The pipeline takes that product
   directly and, at micro scale, re-derives it from the subset filter and
-  raises CrossCheckFailed unless the two agree.
+  raises CrossCheckFailed unless the two agree.  The filter's result
+  depends only on the members' sizes, in member order, and the kind, so it
+  runs once per (sizes, kind); the comparison runs on every build.
 
 Each member's P_A x P_A has one bit layout: bit i*n + j of a member's mask
 is the pair ((A,x_i),(A,x_j)), x_i being the i-th element of A, so an
@@ -287,7 +289,7 @@ def _u2_sizes(family: Family, variant: U2Variant) -> tuple:
 
 _cells_cache: dict = {}  # member -> its tagged pairs, by bit
 _picks_cache: dict = {}  # (n, kind) -> every n-element member's picks
-_valid_cache: dict = {}  # (n, kind) -> every mask over n indices with a least element
+_filter_cache: dict = {}  # (sizes, kind) -> the union-base masks the subset filter keeps
 
 
 def _rows_mask(rows) -> int:
@@ -344,16 +346,33 @@ def _picks(n: int, kind: OrderKind) -> tuple:
     return picks
 
 
-def _valid_masks(n: int, kind: OrderKind) -> frozenset:
-    """Every mask over n indices whose rows have a least element under
-    ``kind``, found by scanning all 2^(n²) masks."""
-    key = (n, kind)
-    valid = _valid_cache.get(key)
-    if valid is None:
-        valid = _valid_cache[key] = frozenset(
-            mask for mask in range(1 << n * n) if least_index(_mask_rows(mask, n), kind) is not None
-        )
-    return valid
+def _filtered(sizes: tuple, kind: OrderKind) -> frozenset:
+    """The subset filter's result for members of these sizes, in member
+    order.  It depends on nothing else, so each (sizes, kind) is scanned
+    once."""
+    key = (sizes, kind)
+    kept = _filter_cache.get(key)
+    if kept is None:
+        kept = _filter_cache[key] = _scan_union_base(sizes, kind)
+    return kept
+
+
+def _scan_union_base(sizes: tuple, kind: OrderKind) -> frozenset:
+    """The subset filter: every mask over the union base whose slice for
+    each member has a least element under ``kind``, found by testing all
+    2^(sum of n²) masks.  A lone member's slice is tested by its rows; with
+    more members each slice is looked up in its size's one-member result."""
+    if len(sizes) == 1:
+        n = sizes[0]
+        return frozenset(mask for mask in range(1 << n * n)
+                         if least_index(_mask_rows(mask, n), kind) is not None)
+    offsets = itertools.accumulate((n * n for n in sizes), initial=0)
+    slices = [(offset, (1 << n * n) - 1, _filtered((n,), kind))
+              for offset, n in zip(offsets, sizes)]
+    return frozenset(
+        mask for mask in range(1 << sum(n * n for n in sizes))
+        if all((mask >> offset & full) in valid for offset, full, valid in slices)
+    )
 
 
 def _offsets(members) -> Iterable:
@@ -446,7 +465,7 @@ def build_QS(family: Family, variant: U2Variant, kind: OrderKind,
     Literal separates every candidate of U2 (:func:`_literal_picks`);
     UnionOfProducts takes the product of per-member admissible orders
     directly, and when the union base has at most 12 elements the powerset
-    filter is re-run and must agree.
+    filter's result (:func:`_cross_check_qs`) must agree with it.
     """
     if variant is U2Variant.LITERAL:
         return QSet(family.members.children, _literal_picks(family, kind, powerset_cap))
@@ -500,15 +519,13 @@ def _literal_picks(family: Family, kind: OrderKind, powerset_cap: int) -> tuple:
 
 
 def _cross_check_qs(family: Family, kind: OrderKind, qs: QSet) -> None:
-    """Re-derive Q_S by filtering every subset of the union base."""
-    members = family.members.children
-    slices = [(offset, (1 << len(a) ** 2) - 1, _valid_masks(len(a), kind))
-              for offset, a in zip(_offsets(members), members)]
-    width = sum(len(a) ** 2 for a in members)
-    filtered = {
-        mask for mask in range(1 << width)
-        if all((mask >> offset & full) in valid for offset, full, valid in slices)
-    }
+    """Re-derive Q_S by filtering every subset of the union base.
+
+    The filter's result depends only on the members' sizes and the kind, so
+    it runs once per (sizes, kind) (:func:`_filtered`); the product of the
+    picks is enumerated and compared with it on every call.
+    """
+    filtered = _filtered(tuple(len(a) for a in family.members.children), kind)
     enumerated = {sum(combo) for combo in itertools.product(*_union_masks(qs))}
     if enumerated != filtered or len(enumerated) != len(qs):
         raise CrossCheckFailed("product enumeration disagrees with the subset filter")

@@ -7,11 +7,14 @@ distance from a*, ties broken toward the smaller number; restricted to any
 finite sample it is a partial order with least element a*.
 
 Endpoints are exact rationals (fractions.Fraction), so every check here is
-decidable equality, never a tolerance.
+decidable equality, never a tolerance.  The sample check puts its points
+over one common denominator and compares their distance keys as integers,
+which is exact too.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,15 +127,9 @@ def phi2_holds(i: Interval, x: Fraction) -> bool:
     return 2 * x == i.lo + i.hi
 
 
-def _distance_key(a_star: Fraction, x: Fraction) -> tuple:
-    """Where ``x`` falls in the distance order around a*: its distance from
-    a*, then ``x`` itself to break ties toward the smaller number."""
-    return abs(x - a_star), x
-
-
 def pol_compare(a_star: Fraction, x: Fraction, y: Fraction) -> bool:
     """Distance order around a*: nearer wins, equal distance prefers smaller."""
-    return _distance_key(a_star, x) <= _distance_key(a_star, y)
+    return (abs(x - a_star), x) <= (abs(y - a_star), y)
 
 
 def sample_check_pol(i: Interval, sample: Iterable[Fraction]) -> PropertyReport:
@@ -144,16 +141,23 @@ def sample_check_pol(i: Interval, sample: Iterable[Fraction]) -> PropertyReport:
     canonical one.
     """
     a_star = choice_value(i)
-    points = set()
+    points = [a_star]
     for x in sample:
         if not i.contains(x):
             raise SampleOutsideInterval(f"{x} is outside {i}")
-        points.add(x)
-    points.add(a_star)
-    elements = tuple(sorted(points))
-    # Each point's key once, then every ordered pair compared as pol_compare
-    # compares them.
-    keys = [_distance_key(a_star, x) for x in elements]
+        points.append(x)
+    # Each point as its numerator over one common denominator (exact for a
+    # float too); equal points share one numerator.
+    ratios = [x.as_integer_ratio() for x in points]
+    d = math.lcm(*(den for _, den in ratios))
+    numerators = [num * (d // den) for num, den in ratios]
+    scaled = dict(zip(numerators, points))
+    order = sorted(scaled)
+    elements = tuple(scaled[n] for n in order)
+    # Each point's distance key once, as integers, then every ordered pair
+    # compared as pol_compare compares them.
+    a = numerators[0]  # a*
+    keys = [(abs(n - a), n) for n in order]
     rows = tuple(
         sum(1 << j for j, ky in enumerate(keys) if kx <= ky)
         for kx in keys
@@ -167,7 +171,7 @@ def hyper_choice(intervals: Sequence[Union[Interval, str]]) -> tuple:
     for index, item in enumerate(intervals):
         try:
             interval = parse_interval(item) if isinstance(item, str) else item
-        except EmptyInterval as e:
-            raise EmptyInterval(f"component {index}: {e}") from None
+        except (EmptyInterval, ValueError) as e:
+            raise type(e)(f"component {index}: {e}") from None
         chosen.append(choice_value(interval))
     return tuple(chosen)

@@ -100,9 +100,28 @@ def break_u1_masks():
     return patched(construction, "_u1_masks", masks)
 
 
+@contextlib.contextmanager
+def filter_cache(warm_with=None):
+    """The subset filter's cache, empty, or filled by one clean call of
+    ``warm_with``, so that a break meets the filter cold or warm."""
+    with patched(construction, "_filter_cache", {}):
+        if warm_with is not None:
+            warm_with()
+        yield
+
+
+def build_running_qs():
+    return construction.build_QS(RUNNING, UNION, WO)
+
+
 def qs_routes_disagree() -> bool:
-    with break_qs_product():
-        return raises_cross_check(lambda: construction.build_QS(RUNNING, UNION, WO))
+    with filter_cache(), break_qs_product():
+        return raises_cross_check(build_running_qs)
+
+
+def qs_routes_disagree_warm() -> bool:
+    with filter_cache(build_running_qs), break_qs_product():
+        return raises_cross_check(build_running_qs)
 
 
 def literal_picks_not_a_product() -> bool:
@@ -136,6 +155,7 @@ def order_count_carriers_disagree() -> bool:
 
 CHECKS = {
     "build_QS": qs_routes_disagree,
+    "build_QS_warm": qs_routes_disagree_warm,
     "build_QS_literal": literal_picks_not_a_product,
     "run_pipeline_u1": u1_routes_disagree,
     "run_pipeline_u1_masks": u1_mask_corrupted,
@@ -144,14 +164,35 @@ CHECKS = {
 }
 
 
+def test_families_of_the_same_sizes_and_kind_scan_the_union_base_once():
+    # {{}} and {{},{{}}}; then {{{}}} and {{},{{{}}}}: sizes 1 and 2 both times.
+    other = Family.of([make_set((ONE,)), make_set((EMPTY, make_set((ONE,))))])
+    sizes = [tuple(map(len, family)) for family in (RUNNING, other)]
+    assert other != RUNNING and sizes == [(1, 2), (1, 2)]
+    real, scanned = construction._scan_union_base, []
+
+    def spy(sizes, kind):
+        scanned.append(sizes)
+        return real(sizes, kind)
+
+    with filter_cache(), patched(construction, "_scan_union_base", spy):
+        for family in (RUNNING, other, RUNNING):
+            construction.build_QS(family, UNION, WO)
+    assert sorted(scanned) == [(1,), (1, 2), (2,)]
+
+
 def cli_outcomes(family_path: str) -> dict:
     """Exit status and error type of ``verify`` with each reachable check
-    broken."""
+    broken, the subset filter's cache cold and warm."""
+    def verify():
+        return cli.execute(cli.RunConfig(command="verify", family=family_path))
+
     out = {}
-    for name, breaker in (("build_QS", break_qs_product), ("run_pipeline_u1", break_u1_count)):
-        with breaker():
-            status, rendered = cli.execute(cli.RunConfig(command="verify",
-                                                         family=family_path))
+    for name, breaker, warm_with in (("build_QS", break_qs_product, None),
+                                     ("build_QS_warm", break_qs_product, verify),
+                                     ("run_pipeline_u1", break_u1_count, None)):
+        with filter_cache(warm_with), breaker():
+            status, rendered = verify()
         report = json.loads(rendered)
         out[name] = [status, report["error"]["type"], report["ok"]]
     return out
@@ -167,7 +208,8 @@ def write_running(tmp_path) -> str:
     return str(path)
 
 
-EXPECTED_CLI = dict.fromkeys(("build_QS", "run_pipeline_u1"), [1, "CrossCheckFailed", False])
+EXPECTED_CLI = dict.fromkeys(("build_QS", "build_QS_warm", "run_pipeline_u1"),
+                             [1, "CrossCheckFailed", False])
 
 
 def test_each_cross_check_raises_when_its_routes_disagree():
@@ -281,20 +323,27 @@ def break_mask_layout():
 
 def mask_layout_verify_outcome(directory: str) -> list:
     """Exit status, error type and ``ok`` of ``verify --kind pol`` on one
-    3-element member, with orders laid into masks column-major.  A
-    well-order transposed is a well-order, so ``pol`` is the kind that
-    shows it."""
+    3-element member, with orders laid into masks column-major, the subset
+    filter's cache cold and then warm.  A well-order transposed is a
+    well-order, so ``pol`` is the kind that shows it."""
     path = os.path.join(directory, "three.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"family": ["{{},{{}},{{{}}}}"]}, fh)
-    with break_mask_layout():
-        status, rendered = cli.execute(cli.RunConfig(command="verify", family=path, kind="pol"))
-    report = json.loads(rendered)
-    return [status, report["error"]["type"], report["ok"]]
+
+    def verify():
+        return cli.execute(cli.RunConfig(command="verify", family=path, kind="pol"))
+
+    out = []
+    for warm_with in (None, verify):
+        with filter_cache(warm_with), break_mask_layout():
+            status, rendered = verify()
+        report = json.loads(rendered)
+        out.append([status, report["error"]["type"], report["ok"]])
+    return out
 
 
 def test_verify_fails_on_orders_laid_column_major(tmp_path):
-    expected = [1, "CrossCheckFailed", False]
+    expected = [[1, "CrossCheckFailed", False]] * 2
     assert mask_layout_verify_outcome(str(tmp_path)) == expected
     debug, got = python_O(tmp_path, "[__debug__, t.mask_layout_verify_outcome(sys.argv[1])]",
                           str(tmp_path))

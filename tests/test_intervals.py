@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zflab import intervals
 from zflab.errors import EmptyInterval, ParseError, SampleOutsideInterval
@@ -160,7 +160,14 @@ def _intervals(draw):
                     hi is not None and draw(st.booleans()))
 
 
-@given(_intervals(), st.lists(_rats, max_size=8), st.lists(_rats, max_size=8))
+# Large coprime denominators, so a sample's common denominator is large.
+_wide_rats = _rats | st.sampled_from([Q(1, 10**9 + 7), Q(-2, 999983), Q(7, 2**31 - 1),
+                                      Q(3, 65537), Q(-5, 998244353)])
+
+
+@given(_intervals(), st.lists(_wide_rats, max_size=8), st.lists(_wide_rats, max_size=8))
+@example(Interval(None, None, False, False), [Q(1, 10**9 + 7), Q(-2, 999983), Q(7, 2**31 - 1)],
+         [Q(1, 10**9 + 7), Q(-2, 999983)])
 def test_sample_rows_are_the_pol_compare_rows(i, points, offsets):
     # Points mirrored around a* tie on distance, so the tie-break is reached.
     a_star = choice_value(i)
@@ -186,6 +193,13 @@ def test_sample_check_pol_worked_examples():
     assert r.least == Q(-1)
 
 
+def test_sample_check_pol_takes_float_points():
+    # A float is a binary fraction; 0.1 and -0.1 tie on distance exactly.
+    r = sample_check_pol(parse_interval("(-inf,+inf)"), [0.1, -0.1, 0.25, 1])
+    assert r.reflexive and r.antisymmetric and r.transitive and r.total
+    assert r.least == Q(0)
+
+
 def test_sample_check_pol_adds_the_choice_point():
     r = sample_check_pol(parse_interval("[1,3]"), [])
     assert r.least == Q(2)
@@ -207,3 +221,11 @@ def test_hyper_choice_reports_the_empty_component():
     with pytest.raises(EmptyInterval) as err:
         hyper_choice(["[1,3]", "(2,2)", "[0,1]"])
     assert "component 1" in str(err.value)
+
+
+def test_hyper_choice_reports_the_component_with_a_closed_infinite_end():
+    for bad in ("[-inf,3]", "[0,+inf]"):
+        with pytest.raises(ValueError) as err:
+            hyper_choice(["[1,3]", bad])
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith("component 1: an infinite ")
