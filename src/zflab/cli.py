@@ -450,30 +450,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "hereditarily finite sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run the pipeline and the oracle side by side")
-    enum = sub.add_parser("enumerate",
-                          help="dump orders, combined relations, and choice functions")
-    fuzz = sub.add_parser("fuzz", help="run seeded random families through every invariant")
-    intervals = sub.add_parser("intervals",
-                               help="rational-interval choice demo and sample checks")
-    # Each command takes only the flags it reads; RunConfig's defaults fill
+    # Each command takes only the flags it reads, and an absent flag is left
+    # out of the parsed arguments: RunConfig holds every default, and fills
     # in the rest of the report's config block.
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
+    verify = command("verify", help="run the pipeline and the oracle side by side")
+    enum = command("enumerate", help="dump orders, combined relations, and choice functions")
+    fuzz = command("fuzz", help="run seeded random families through every invariant")
+    intervals = command("intervals", help="rational-interval choice demo and sample checks")
     for cmd in (verify, enum):
         cmd.add_argument("--family", required=True, help="path to a family file")
-        cmd.add_argument("--u2", choices=sorted(_VARIANTS), default="union")
+        cmd.add_argument("--u2", choices=sorted(_VARIANTS))
     for cmd in (verify, enum, fuzz):
-        cmd.add_argument("--kind", choices=sorted(_KINDS), default="wellorder")
+        cmd.add_argument("--kind", choices=sorted(_KINDS))
         cmd.add_argument("--powerset-cap", type=int)
         cmd.add_argument("--product-cap", type=int)
     for cmd in (fuzz, intervals):
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--trials", type=int, default=100)
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--trials", type=int)
     fuzz.add_argument("--allow-empty", action="store_true")
     intervals.add_argument("literals", nargs="*",
                            help="interval literals such as [1,3] or (0,+inf)")
     for cmd in (verify, enum, fuzz, intervals):
         cmd.add_argument("--out", help="write the report here instead of stdout")
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
+        cmd.add_argument("--format", choices=("json", "text"))
     return parser
 
 

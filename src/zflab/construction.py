@@ -155,10 +155,6 @@ class ChoiceFunction:
     def __call__(self, a: HfSet) -> HfSet:
         return self._mapping[a]
 
-    @property
-    def domain(self) -> tuple:
-        return tuple(sorted(self._mapping, key=canonical_key))
-
     def is_valid_for(self, family: Family) -> bool:
         """Exactly one selection for each family member, nothing else."""
         return set(self._mapping) == set(family.members.children)

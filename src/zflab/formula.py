@@ -24,13 +24,19 @@ Concrete syntax::
 quantifier body extends as far right as possible.  Pair terms denote the
 pair-set encoding {{x},{x,y}}.  A set literal whose elements are all ground
 parses to a Literal; one containing variables stays symbolic (SetTerm).
+
+One table defines the connectives: ``_BINARY`` gives each binary
+connective's token, precedence level and truth function, and
+``_QUANTIFIERS`` each quantifier's keyword and aggregate.  The parser, the
+evaluator, :func:`free_vars` and the printer all read them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import ParseError, UnboundVariable
 from .hfs import EMPTY, HfSet, is_member, make_set, ordered_pair
@@ -145,6 +151,38 @@ Formula = Union[
 _MISSING = object()
 
 
+def _exactly_one(values) -> bool:
+    """Is exactly one of ``values`` true?  Stops reading at the second hit."""
+    values = iter(values)
+    return any(values) and not any(values)
+
+
+# Precedence levels, loosest first: a quantifier body, the binary
+# connectives at the levels _BINARY gives them, then negation.  The printer
+# parenthesizes a subformula that binds more loosely than its position needs.
+_QUANT = 0
+
+# Each binary connective: its token, its precedence level, and its truth
+# function.  The truth function takes the left value and a thunk for the
+# right one, so '&', '|' and '->' evaluate their right side only when it
+# decides the result.  '->' associates right, the others left.
+_BINARY = {
+    Iff: ("<->", 1, lambda left, right: left == right()),
+    Implies: ("->", 2, lambda left, right: not left or right()),
+    Or: ("|", 3, lambda left, right: left or right()),
+    And: ("&", 4, lambda left, right: left and right()),
+}
+_UNARY = len(_BINARY) + 1
+
+# Each quantifier: its keyword, and its aggregate over the body's truth
+# values at the domain's elements, read lazily so it stops once decided.
+_QUANTIFIERS = {
+    ForallIn: ("forall", all),
+    ExistsIn: ("exists", any),
+    ExistsUniqueIn: ("exists!", _exactly_one),
+}
+
+
 def eval_term(t: Term, env: Env) -> HfSet:
     """Denotation of a term under the environment."""
     return _eval_term(t, dict(env))
@@ -179,44 +217,28 @@ def _eval(f, env) -> bool:
         return _eval_term(f.left, env) == _eval_term(f.right, env)
     if isinstance(f, Not):
         return not _eval(f.body, env)
-    if isinstance(f, And):
-        return _eval(f.left, env) and _eval(f.right, env)
-    if isinstance(f, Or):
-        return _eval(f.left, env) or _eval(f.right, env)
-    if isinstance(f, Implies):
-        return not _eval(f.left, env) or _eval(f.right, env)
-    if isinstance(f, Iff):
-        return _eval(f.left, env) == _eval(f.right, env)
-    if isinstance(f, (ForallIn, ExistsIn, ExistsUniqueIn)):
-        domain = _eval_term(f.domain, env)
-        old = env.get(f.var, _MISSING)
-        try:
-            if isinstance(f, ForallIn):
-                for x in domain.children:
-                    env[f.var] = x
-                    if not _eval(f.body, env):
-                        return False
-                return True
-            if isinstance(f, ExistsIn):
-                for x in domain.children:
-                    env[f.var] = x
-                    if _eval(f.body, env):
-                        return True
-                return False
-            hits = 0
-            for x in domain.children:
-                env[f.var] = x
-                if _eval(f.body, env):
-                    hits += 1
-                    if hits > 1:
-                        return False
-            return hits == 1
-        finally:
-            if old is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = old
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) in _BINARY:
+        truth = _BINARY[type(f)][2]
+        return truth(_eval(f.left, env), lambda: _eval(f.right, env))
+    if type(f) not in _QUANTIFIERS:
+        raise TypeError(f"not a formula: {f!r}")
+    domain = _eval_term(f.domain, env)
+    old = env.get(f.var, _MISSING)
+    try:
+        return _QUANTIFIERS[type(f)][1](_body_truths(f, domain, env))
+    finally:
+        if old is _MISSING:
+            env.pop(f.var, None)
+        else:
+            env[f.var] = old
+
+
+def _body_truths(f, domain: HfSet, env) -> Iterator[bool]:
+    """The quantifier body's truth value with its variable bound to each
+    element of ``domain`` in turn."""
+    for x in domain.children:
+        env[f.var] = x
+        yield _eval(f.body, env)
 
 
 def free_vars(f) -> frozenset:
@@ -234,13 +256,11 @@ def free_vars(f) -> frozenset:
         return out
     if isinstance(f, MemberOf):
         return free_vars(f.item) | free_vars(f.container)
-    if isinstance(f, Equals):
+    if isinstance(f, Equals) or type(f) in _BINARY:
         return free_vars(f.left) | free_vars(f.right)
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (ForallIn, ExistsIn, ExistsUniqueIn)):
+    if type(f) in _QUANTIFIERS:
         return free_vars(f.domain) | (free_vars(f.body) - {f.var})
     raise TypeError(f"not a formula or term: {f!r}")
 
@@ -261,7 +281,9 @@ def separation(a: HfSet, var: str, f: Formula, env: Env = ()) -> HfSet:
 _TOKEN_RE = re.compile(r"<->|->|[(){},.=&|!]|[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 
-_QUANT_NODES = {"forall": ForallIn, "exists": ExistsIn, "exists!": ExistsUniqueIn}
+
+def _is_ident(tok: str) -> bool:
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in _KEYWORDS
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -303,58 +325,36 @@ class _Parser:
         self.i += 1
 
     def ident(self) -> str:
-        tok = self.peek()
-        if not tok or not (tok[0].isalpha() or tok[0] == "_") or tok in _KEYWORDS:
+        if not _is_ident(self.peek()):
             raise ParseError("expected identifier", self.pos())
         return self.take()
 
     # formula := quant | iff
     def formula(self):
-        tok = self.peek()
-        if tok in ("forall", "exists"):
-            self.take()
-            kw = tok
-            if tok == "exists" and self.peek() == "!":
-                self.take()
-                kw = "exists!"
-            var = self.ident()
-            self.expect("in")
-            domain = self.term()
-            self.expect(".")
-            body = self.formula()
-            return _QUANT_NODES[kw](var, domain, body)
-        return self.iff()
+        if self.peek() not in ("forall", "exists"):
+            return self.binary(_QUANT + 1)
+        kw = self.take()
+        if kw == "exists" and self.peek() == "!":
+            kw += self.take()
+        quantifier = next(cls for cls, (word, _) in _QUANTIFIERS.items() if word == kw)
+        var = self.ident()
+        self.expect("in")
+        domain = self.term()
+        self.expect(".")
+        return quantifier(var, domain, self.formula())
 
-    def iff(self):
-        node = self.imp()
-        while self.peek() == "<->":
+    # The chain of the connective at ``level``, over operands one level tighter.
+    def binary(self, level: int):
+        if level == _UNARY:
+            return self.unary()
+        connective, tok = next((cls, t) for cls, (t, lv, _) in _BINARY.items() if lv == level)
+        operands = [self.binary(level + 1)]
+        while self.peek() == tok:
             self.take()
-            node = Iff(node, self.imp())
-        return node
-
-    def imp(self):
-        parts = [self.or_()]
-        while self.peek() == "->":
-            self.take()
-            parts.append(self.or_())
-        node = parts[-1]
-        for left in reversed(parts[:-1]):
-            node = Implies(left, node)
-        return node
-
-    def or_(self):
-        node = self.and_()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self):
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
+            operands.append(self.binary(level + 1))
+        if connective is Implies:
+            return functools.reduce(lambda right, left: Implies(left, right), reversed(operands))
+        return functools.reduce(connective, operands)
 
     def unary(self):
         if self.peek() == "!":
@@ -382,7 +382,7 @@ class _Parser:
             node = self.formula()
             self.expect(")")
             return node
-        if tok == "{" or (tok and (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS):
+        if tok == "{" or _is_ident(tok):
             return self.term_atom()
         raise ParseError("expected a formula atom", self.pos())
 
@@ -409,7 +409,7 @@ class _Parser:
             return PairTerm(first, second)
         if tok == "{":
             return self.setlit()
-        if tok and (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
+        if _is_ident(tok):
             return Var(self.take())
         raise ParseError("expected a term", self.pos())
 
@@ -443,13 +443,6 @@ def parse_formula(text: str) -> Formula:
     return node
 
 
-# Printer precedence levels; children printed at a minimum level get
-# parenthesized when they bind more loosely.
-_QUANT, _IFF, _IMP, _OR, _AND, _UNARY, _ATOM = range(7)
-
-_QUANT_KW = {ForallIn: "forall", ExistsIn: "exists", ExistsUniqueIn: "exists!"}
-
-
 def format_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -467,22 +460,6 @@ def format_formula(f: Formula) -> str:
     return _fmt(f, _QUANT)
 
 
-def _level(f) -> int:
-    if isinstance(f, (ForallIn, ExistsIn, ExistsUniqueIn)):
-        return _QUANT
-    if isinstance(f, Iff):
-        return _IFF
-    if isinstance(f, Implies):
-        return _IMP
-    if isinstance(f, Or):
-        return _OR
-    if isinstance(f, And):
-        return _AND
-    if isinstance(f, Not):
-        return _UNARY
-    return _ATOM
-
-
 def _fmt(f, min_level: int) -> str:
     if isinstance(f, BoolConst):
         return "true" if f.value else "false"
@@ -490,21 +467,17 @@ def _fmt(f, min_level: int) -> str:
         return f"{format_term(f.item)} in {format_term(f.container)}"
     if isinstance(f, Equals):
         return f"{format_term(f.left)} = {format_term(f.right)}"
-    if isinstance(f, (ForallIn, ExistsIn, ExistsUniqueIn)):
-        kw = _QUANT_KW[type(f)]
+    if type(f) in _QUANTIFIERS:
+        level, kw = _QUANT, _QUANTIFIERS[type(f)][0]
         text = f"{kw} {f.var} in {format_term(f.domain)} . {_fmt(f.body, _QUANT)}"
-    elif isinstance(f, Iff):
-        text = f"{_fmt(f.left, _IFF)} <-> {_fmt(f.right, _IFF + 1)}"
-    elif isinstance(f, Implies):
-        text = f"{_fmt(f.left, _IMP + 1)} -> {_fmt(f.right, _IMP)}"
-    elif isinstance(f, Or):
-        text = f"{_fmt(f.left, _OR)} | {_fmt(f.right, _OR + 1)}"
-    elif isinstance(f, And):
-        text = f"{_fmt(f.left, _AND)} & {_fmt(f.right, _AND + 1)}"
+    elif type(f) in _BINARY:
+        tok, level, _ = _BINARY[type(f)]
+        # Only the operand on the side the connective associates toward may
+        # sit at its own level unparenthesized.
+        left, right = (level + 1, level) if type(f) is Implies else (level, level + 1)
+        text = f"{_fmt(f.left, left)} {tok} {_fmt(f.right, right)}"
     elif isinstance(f, Not):
-        text = f"!{_fmt(f.body, _UNARY)}"
+        level, text = _UNARY, f"!{_fmt(f.body, _UNARY)}"
     else:
         raise TypeError(f"not a formula: {f!r}")
-    if _level(f) < min_level:
-        return f"({text})"
-    return text
+    return f"({text})" if level < min_level else text

@@ -69,6 +69,8 @@ class Interval:
                 )
 
     def contains(self, x: Fraction) -> bool:
+        if isinstance(x, float) and not math.isfinite(x):
+            return False  # inf and nan are not rationals
         if self.lo is not None:
             if x < self.lo or (x == self.lo and not self.lo_closed):
                 return False

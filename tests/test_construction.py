@@ -355,22 +355,61 @@ def test_product_cap():
                  product_cap=5)
 
 
-def test_fc_selection_formula_evaluated_literally():
-    """The selection condition, written as an actual formula and evaluated by
-    the formula module over the materialized sets, picks out the same
-    function graphs as the pipeline."""
-    fam = Family.of([ONE, TWO])
-    kind = OrderKind.WELL_ORDER
+# Every family of one or two distinct subsets of {0, {0}, {{0}}} whose union
+# base has at most 9 pairs, so that U2 has at most 512 candidates.
+SUBSETS3 = [make_set(c) for k in range(4) for c in itertools.combinations(UNIVERSE4[:3], k)]
+SMALL_FAMILIES = [
+    Family.of(members) for k in (1, 2) for members in itertools.combinations(SUBSETS3, k)
+    if sum(len(a) ** 2 for a in members) <= 9
+]
+
+# The paper's two separations as formula text.  Q_S out of U2: for every
+# member A, the A-part of q is exactly one lifted order r of A, where L holds
+# the (A, r) pairs and R the lifted orders.
+QS_PHI = parse_formula(
+    "forall A in S . exists r in R . (A, r) in L & (forall p in r . p in q) & "
+    "(forall x in A . forall y in A . (((A,x),(A,y)) in q -> ((A,x),(A,y)) in r))"
+)
+# F_c out of P(A_S x A_U): first the function-shaped graphs, then those that
+# choose the least element of each member's part of some Q.
+FUNCTION_PHI = parse_formula("forall p in f . exists A in S . exists x in A . p = (A,x)")
+SELECTION_PHI = parse_formula(
+    "exists Q in QS . forall A in S . forall x in A . "
+    "((A,x) in f <-> (forall y in A . ((A,x),(A,y)) in Q))"
+)
+
+
+@pytest.mark.parametrize("kind", list(OrderKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=lambda fam: hfs_literal(fam.members))
+def test_fc_selection_formula_evaluated_literally(fam, kind):
+    """Both separations, written as actual formulas and evaluated by the
+    formula module over the materialized sets, pick out the pipeline's Q_S
+    and F_c."""
     qs = build_QS(fam, U2Variant.UNION_OF_PRODUCTS, kind)
+    # Only orders with a least element take part, as in the pipeline: the
+    # vacuous order on an empty member has none.
+    lifted = [(a, lift_order(r).pairs) for a in fam for r in enumerate_orders(a, kind)
+              if relation_properties(r).least is not None]
+    env = {"S": fam.members, "R": make_set(r for _, r in lifted),
+           "L": make_set(ordered_pair(a, r) for a, r in lifted)}
+    got_qs = separation(build_U2_base(fam, U2Variant.UNION_OF_PRODUCTS), "q", QS_PHI, env)
+    assert got_qs.children == qs.children
+
     candidates = powerset(cartesian(fam.members, fam.union))
-    phi = parse_formula(
+    functions = separation(candidates, "f", FUNCTION_PHI, env)
+    got = separation(functions, "f", SELECTION_PHI, {**env, "QS": got_qs})
+    expected = [cf.graph for cf in build_Fc(fam, qs)]
+    assert list(got.children) == expected
+    assert [cf.graph for cf in build_Fc_literal(fam, qs)] == expected
+
+    # The selection in one step, over every candidate, with m ranging over
+    # the whole union.
+    one_step = parse_formula(
         "exists Q in QS . forall A in F . forall m in U . "
         "((A,m) in f <-> (forall b in A . ((A,m),(A,b)) in Q))"
     )
-    env = {"QS": qs, "F": fam.members, "U": fam.union}
-    got = separation(candidates, "f", phi, env)
-    expected = build_Fc(fam, qs)
-    assert list(got.children) == [cf.graph for cf in expected]
+    one_step_env = {"QS": qs, "F": fam.members, "U": fam.union}
+    assert list(separation(candidates, "f", one_step, one_step_env).children) == expected
 
 
 def test_theorem4_order_is_pol_with_chosen_least():

@@ -131,6 +131,28 @@ def test_unbound_variable():
         eval_formula(parse_formula("x = {}"), {})
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("false & x = {}", False),
+    ("true | x = {}", True),
+    ("false -> x = {}", True),
+])
+def test_binary_connectives_short_circuit(text, expected):
+    # x is unbound, so reading the right side would raise
+    assert eval_formula(parse_formula(text), {}) is expected
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("exists x in d . x = {} | z = {}", True),  # stops at its first hit
+    ("forall x in d . x = {{}} & z = {}", False),  # stops at its first miss
+    ("exists! x in d . x = {} | x = {{}} | z = {}", False),  # stops at its second hit
+])
+def test_quantifiers_stop_once_decided(text, expected):
+    # d's next element would evaluate the unbound z
+    d = make_set((E, S1, S2))
+    assert d.children == (E, S1, S2)
+    assert eval_formula(parse_formula(text), {"d": d}) is expected
+
+
 def test_shadowing_restores_outer_binding():
     # the quantified x shadows the outer one inside, not after
     f = parse_formula("(exists x in d . x = {}) & x = {{}}")

@@ -210,6 +210,15 @@ def test_sample_outside_interval():
         sample_check_pol(parse_interval("[0,1]"), [Q(5)])
 
 
+@pytest.mark.parametrize("text", ["(-inf,+inf)", "(0,+inf)", "(-inf,0]", "[1,3]"])
+@pytest.mark.parametrize("point", [float("inf"), float("-inf"), float("nan")], ids=str)
+def test_non_finite_sample_points_are_outside(text, point):
+    i = parse_interval(text)
+    assert not i.contains(point)
+    with pytest.raises(SampleOutsideInterval):
+        sample_check_pol(i, [point])
+
+
 def test_hyper_choice():
     assert hyper_choice(["[1,3]", "[0,+inf)"]) == (Q(2), Q(1))
     assert hyper_choice([parse_interval("[1,3]")]) == (Q(2),)

@@ -1,4 +1,4 @@
-"""Count the code lines of the zflab package, the figure ROADMAP item 6 tracks.
+"""Count the code lines of the zflab package, the figure ROADMAP item 5 tracks.
 
 A code line is a line that is not blank, not only a comment and not part of
 a docstring (the first statement of a module, class or function, when it is
