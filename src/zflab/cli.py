@@ -443,7 +443,9 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="zflab",
         description="finite set-theory workbench: choice-function pipelines over "
@@ -475,12 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write the report here instead of stdout")
         cmd.add_argument("--format", choices=("json", "text"))
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later ``main`` call."""
-    return _build_parser()
 
 
 def main(argv=None) -> int:

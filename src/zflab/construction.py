@@ -35,10 +35,15 @@ Each member's P_A x P_A has one bit layout: bit i*n + j of a member's mask
 is the pair ((A,x_i),(A,x_j)), x_i being the i-th element of A, so an
 order's mask is its rows laid end to end and row i is bits i*n to i*n+n-1.
 The transported orders, the literal U2, the Q_S cross-check and both F_c
-routes work on masks in that layout; a cached table of each member's n²
-tagged pairs, in bit order, turns a mask into pairs where a set is needed.
-An order's mask and the index of its least element depend only on |A|, so
+routes work on masks in that layout; a table of each member's n² tagged
+pairs, in bit order, turns a mask into pairs where a set is needed.  An
+order's mask and the index of its least element depend only on |A|, so
 every member of one size shares them.
+
+Each of these artifacts (a member's pair table, each size's picks, each
+subset-filter result) is computed once per key per process.  Each memo is
+the cached function itself (``functools.cache``), keyed by its arguments,
+so ``cache_info()`` and ``cache_clear()`` come with it.
 
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
 cross-check while members are small (see :func:`run_pipeline`), in mask
@@ -56,6 +61,7 @@ which is why a family containing the empty set ends with Q_S and F_c empty.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -283,10 +289,6 @@ def _u2_sizes(family: Family, variant: U2Variant) -> tuple:
 # Masks follow the bit layout of the module docstring.  A mask over the union
 # base lays the members' squares end to end, in member order.
 
-_cells_cache: dict = {}  # member -> its tagged pairs, by bit
-_picks_cache: dict = {}  # (n, kind) -> every n-element member's picks
-_filter_cache: dict = {}  # (sizes, kind) -> the union-base masks the subset filter keeps
-
 
 def _rows_mask(rows) -> int:
     n = len(rows)
@@ -301,16 +303,14 @@ def _bits(mask: int) -> list:
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
+@functools.cache
 def _cells(a: HfSet) -> tuple:
     """A member's P_A x P_A, pair ((A,x_i),(A,x_j)) at position i*n + j."""
-    cells = _cells_cache.get(a)
-    if cells is None:
-        tag = [ordered_pair(a, x) for x in a.children]
-        cells = tuple(ordered_pair(x, y) for x in tag for y in tag)
-        _cells_cache[a] = cells
-    return cells
+    tag = [ordered_pair(a, x) for x in a.children]
+    return tuple(ordered_pair(x, y) for x in tag for y in tag)
 
 
+@functools.cache
 def _picks(n: int, kind: OrderKind) -> tuple:
     """Per order of ``kind`` over n indices with a least element (the choice
     extraction needs one; on nonempty carriers every order has it), its
@@ -320,44 +320,33 @@ def _picks(n: int, kind: OrderKind) -> tuple:
     as the x do, so every member's cells sort by one permutation of the
     bits.  It is read off the first n naturals.
     """
-    key = (n, kind)
-    picks = _picks_cache.get(key)
-    if picks is None:
-        cells = _cells(von_neumann(n))
-        place = {p: r for r, p in enumerate(sorted(cells))}  # canonical rank
+    cells = _cells(von_neumann(n))
+    place = {p: r for r, p in enumerate(sorted(cells))}  # canonical rank
 
-        # A member's nonempty lifted sets share one rank, so they sort by
-        # size, then by their pairs in canonical order.
-        def canonical(pick):
-            lifted = sorted(place[cells[b]] for b in _bits(pick[0]))
-            return len(lifted), lifted
+    # A member's nonempty lifted sets share one rank, so they sort by size,
+    # then by their pairs in canonical order.
+    def canonical(pick):
+        lifted = sorted(place[cells[b]] for b in _bits(pick[0]))
+        return len(lifted), lifted
 
-        picks = []
-        for rows in order_rows(n, kind):
-            least = least_index(rows, kind)
-            if least is not None:
-                picks.append((_rows_mask(rows), least))
-        picks.sort(key=canonical)
-        picks = _picks_cache[key] = tuple(picks)
-    return picks
+    picks = []
+    for rows in order_rows(n, kind):
+        least = least_index(rows, kind)
+        if least is not None:
+            picks.append((_rows_mask(rows), least))
+    return tuple(sorted(picks, key=canonical))
 
 
+@functools.cache
 def _filtered(sizes: tuple, kind: OrderKind) -> frozenset:
-    """The subset filter's result for members of these sizes, in member
-    order.  It depends on nothing else, so each (sizes, kind) is scanned
-    once."""
-    key = (sizes, kind)
-    kept = _filter_cache.get(key)
-    if kept is None:
-        kept = _filter_cache[key] = _scan_union_base(sizes, kind)
-    return kept
+    """The subset filter for members of these sizes, in member order: every
+    mask over the union base whose slice for each member has a least element
+    under ``kind``, found by testing all 2^(sum of n²) masks.
 
-
-def _scan_union_base(sizes: tuple, kind: OrderKind) -> frozenset:
-    """The subset filter: every mask over the union base whose slice for
-    each member has a least element under ``kind``, found by testing all
-    2^(sum of n²) masks.  A lone member's slice is tested by its rows; with
-    more members each slice is looked up in its size's one-member result."""
+    It depends on nothing else, so the memo is this function itself, keyed
+    by (sizes, kind): each is scanned once.  A lone member's slice is tested
+    by its rows; with more members each slice is looked up in its size's
+    one-member result, which every caller shares."""
     if len(sizes) == 1:
         n = sizes[0]
         return frozenset(mask for mask in range(1 << n * n)

@@ -27,6 +27,7 @@ the other two kinds are that filter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -287,9 +288,6 @@ def order_from_formula(a: HfSet, phi: Formula, env: Mapping = (), var: str | Non
     return relation_over(a, make_set(pairs))
 
 
-_rows_cache: dict = {}  # (n, kind) -> row tuples of every order of kind
-
-
 def _chain_rows(perm: tuple) -> tuple:
     # The well-order listing the indices in ``perm`` from least to greatest.
     rows = [0] * len(perm)
@@ -306,26 +304,23 @@ def _brute_force_rows(n: int, kind: OrderKind) -> list:
             if _rows_satisfy(rows, kind)]
 
 
+@functools.cache
 def order_rows(n: int, kind: OrderKind) -> tuple:
     """Every order of ``kind`` over n indexed elements, as row tuples.
 
     Exhaustive over the 2**(n*n) row tuples, so n is capped at 4, and
-    computed once per (n, kind).  Well-orders are generated from
-    permutations (n! of them) and, for n at most 3, re-derived from the
-    brute-force filter; CrossCheckFailed if the two disagree.
+    computed once per (n, kind): the memo is this function itself, and an
+    exception is never cached.  Well-orders are generated from permutations
+    (n! of them) and, for n at most 3, re-derived from the brute-force
+    filter; CrossCheckFailed if the two disagree.
     """
-    key = (n, kind)
-    found = _rows_cache.get(key)
-    if found is None:
-        if n > 4:
-            raise CapExceeded(f"order enumeration over {n} elements exceeds cap 4")
-        if kind is OrderKind.WELL_ORDER:
-            found = tuple(_chain_rows(perm) for perm in itertools.permutations(range(n)))
-            if n <= 3 and set(_brute_force_rows(n, kind)) != set(found):
-                raise CrossCheckFailed("permutation route disagrees with subset filter")
-        else:
-            found = tuple(_brute_force_rows(n, kind))
-        _rows_cache[key] = found
+    if n > 4:
+        raise CapExceeded(f"order enumeration over {n} elements exceeds cap 4")
+    if kind is not OrderKind.WELL_ORDER:
+        return tuple(_brute_force_rows(n, kind))
+    found = tuple(_chain_rows(perm) for perm in itertools.permutations(range(n)))
+    if n <= 3 and set(_brute_force_rows(n, kind)) != set(found):
+        raise CrossCheckFailed("permutation route disagrees with subset filter")
     return found
 
 

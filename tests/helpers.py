@@ -1,19 +1,25 @@
-"""Shared test fixtures: small universes, family spaces, and an independent
-frozenset model of the set kernel.
+"""Shared test fixtures: small universes, family spaces, an independent
+frozenset model of the set kernel, the F_c separation as formulas, and cold
+pipeline memos.
 
 The frozenset model re-expresses sets, pairs, and relation properties with
 plain Python data so kernel results can be checked against something that
 shares no code with the package.
 """
 
+import contextlib
 import itertools
 
+from zflab import construction, orders
+from zflab.formula import parse_formula, separation
 from zflab.hfs import (
     HfSet,
+    cartesian,
     is_member,
     iter_hfs_by_rank,
     make_set,
     ordered_pair,
+    powerset,
 )
 
 UNIVERSE4 = iter_hfs_by_rank(2)
@@ -63,6 +69,49 @@ def small_family_space():
         for combo in itertools.combinations(members, k):
             families.append(make_set(combo))
     return families
+
+
+# --- pipeline memos -------------------------------------------------------------
+
+# Every pipeline memo is the cached function that computes it.  They are taken
+# here, at import, so that a test which patches one of these names still
+# clears the memo itself.
+MEMOS = (construction._cells, construction._picks, construction._filtered,
+         orders.order_rows)
+
+
+@contextlib.contextmanager
+def cold_caches():
+    """Clear every pipeline memo on entry and again on exit, so that what a
+    test computes under a patch, such as picks laid out by a patched
+    ``_rows_mask``, is never read by a later test."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    try:
+        yield
+    finally:
+        for memo in MEMOS:
+            memo.cache_clear()
+
+
+# --- F_c separated by formulas ---------------------------------------------------
+
+# F_c out of P(A_S x A_U): first the function-shaped graphs, then those that
+# choose the least element of each member's part of some Q.
+FUNCTION_PHI = parse_formula("forall p in f . exists A in S . exists x in A . p = (A,x)")
+SELECTION_PHI = parse_formula(
+    "exists Q in QS . forall A in S . forall x in A . "
+    "((A,x) in f <-> (forall y in A . ((A,x),(A,y)) in Q))"
+)
+
+
+def formula_fc(family, qs) -> tuple:
+    """The graphs that FUNCTION_PHI and then SELECTION_PHI separate out of
+    the powerset of A_S x A_U, the Q's of ``qs`` read as sets of pairs."""
+    env = {"S": family.members, "QS": qs}
+    functions = separation(powerset(cartesian(family.members, family.union)), "f",
+                           FUNCTION_PHI, env)
+    return separation(functions, "f", SELECTION_PHI, env).children
 
 
 # --- verbatim order checkers ---------------------------------------------------

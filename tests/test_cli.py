@@ -430,7 +430,7 @@ def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
     ["intervals", "--trials", "200", "--seed", "7"],
 ])
 def test_benchmark_argv_shapes_parse(argv):
-    args = cli._build_parser().parse_args(argv + ["--out", "r.json"])
+    args = cli._parser().parse_args(argv + ["--out", "r.json"])
     assert (args.command, args.out) == (argv[0], "r.json")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import UNIVERSE4, to_frozen
+from helpers import MEMOS, UNIVERSE4, cold_caches, formula_fc, to_frozen
 from zflab import cli, construction, hfs, oracle, orders
 from zflab.errors import CapExceeded, EmptyFamily, NoLeast
 from zflab.construction import (
@@ -370,13 +370,7 @@ QS_PHI = parse_formula(
     "forall A in S . exists r in R . (A, r) in L & (forall p in r . p in q) & "
     "(forall x in A . forall y in A . (((A,x),(A,y)) in q -> ((A,x),(A,y)) in r))"
 )
-# F_c out of P(A_S x A_U): first the function-shaped graphs, then those that
-# choose the least element of each member's part of some Q.
-FUNCTION_PHI = parse_formula("forall p in f . exists A in S . exists x in A . p = (A,x)")
-SELECTION_PHI = parse_formula(
-    "exists Q in QS . forall A in S . forall x in A . "
-    "((A,x) in f <-> (forall y in A . ((A,x),(A,y)) in Q))"
-)
+# F_c out of P(A_S x A_U): helpers.formula_fc.
 
 
 @pytest.mark.parametrize("kind", list(OrderKind), ids=lambda kind: kind.value)
@@ -395,11 +389,8 @@ def test_fc_selection_formula_evaluated_literally(fam, kind):
     got_qs = separation(build_U2_base(fam, U2Variant.UNION_OF_PRODUCTS), "q", QS_PHI, env)
     assert got_qs.children == qs.children
 
-    candidates = powerset(cartesian(fam.members, fam.union))
-    functions = separation(candidates, "f", FUNCTION_PHI, env)
-    got = separation(functions, "f", SELECTION_PHI, {**env, "QS": got_qs})
     expected = [cf.graph for cf in build_Fc(fam, qs)]
-    assert list(got.children) == expected
+    assert list(formula_fc(fam, got_qs)) == expected
     assert [cf.graph for cf in build_Fc_literal(fam, qs)] == expected
 
     # The selection in one step, over every candidate, with m ranging over
@@ -409,6 +400,7 @@ def test_fc_selection_formula_evaluated_literally(fam, kind):
         "((A,m) in f <-> (forall b in A . ((A,m),(A,b)) in Q))"
     )
     one_step_env = {"QS": qs, "F": fam.members, "U": fam.union}
+    candidates = powerset(cartesian(fam.members, fam.union))
     assert list(separation(candidates, "f", one_step, one_step_env).children) == expected
 
 
@@ -526,6 +518,39 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert private == []
 
 
+def _fillable(value) -> bool:
+    # An empty dict or set, or a list: the package keeps its constant tables
+    # in tuples, frozensets and filled dicts.
+    if isinstance(value, ast.Call):
+        return (isinstance(value.func, ast.Name) and value.func.id in ("dict", "list", "set")
+                and not value.args and not value.keywords)
+    return isinstance(value, ast.List) or isinstance(value, ast.Dict) and not value.keys
+
+
+def test_no_module_keeps_a_hand_rolled_memo():
+    # Every pipeline memo is a functools.cache on the function that computes
+    # it.  These three module-level containers are not, each for a reason:
+    allowed = {
+        "hfs._intern",      # weak: an entry lives only as long as its node
+        "hfs._naturals",    # grows by appending, each natural from all before it
+        "oracle._pol_memo",  # the oracle may not import functools
+                            # (test_oracle_imports_only_the_kernel)
+    }
+    found = set()
+    for path in sorted(Path(construction.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _fillable(node.value):
+                found.update(f"{path.stem}.{t.id}" for t in targets
+                             if isinstance(t, ast.Name) and not t.id.startswith("__"))
+    assert found == allowed
+
+
 def test_carriers_of_one_size_share_one_enumeration(monkeypatch):
     satisfy = orders._rows_satisfy
     calls = []
@@ -535,13 +560,32 @@ def test_carriers_of_one_size_share_one_enumeration(monkeypatch):
         return satisfy(rows, kind)
 
     monkeypatch.setattr(orders, "_rows_satisfy", counted)
-    monkeypatch.setattr(orders, "_rows_cache", {})
-    monkeypatch.setattr(construction, "_picks_cache", {})
     triples = [make_set(c) for c in itertools.combinations(UNIVERSE4, 3)]
     assert len(triples) == 4
-    for a in triples:
-        assert len(construction._picks(len(a), OrderKind.PARTIAL_ORDER_WITH_LEAST)) == 9
+    with cold_caches():
+        for a in triples:
+            assert len(construction._picks(len(a), OrderKind.PARTIAL_ORDER_WITH_LEAST)) == 9
     assert len(calls) == 2 ** 9
+
+
+def test_verify_computes_each_artifact_once_per_key(tmp_path):
+    # The running family {{{}}, {{},{{}}}}: members of sizes 1 and 2, which
+    # are also the naturals the picks are read off.
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": ["{{}}", "{{},{{}}}"]}))
+    config = cli.RunConfig(command="verify", family=str(path))
+
+    def misses():
+        return {memo.__name__: memo.cache_info().misses for memo in MEMOS}
+
+    # _cells: the two members; _picks and order_rows: sizes 1 and 2;
+    # _filtered: (1,), (2,) and (1, 2).
+    once = {"_cells": 2, "_picks": 2, "_filtered": 3, "order_rows": 2}
+    with cold_caches():
+        first = cli.execute(config)
+        assert misses() == once
+        assert cli.execute(config) == first
+        assert misses() == once
 
 
 def test_verify_with_an_empty_member_agrees_on_empty_choice_sets(tmp_path):

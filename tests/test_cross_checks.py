@@ -7,7 +7,11 @@ which runs the same breaks there.
 
 A corrupted least element is no disagreement inside one function: it makes
 ``verify`` fail its oracle comparison and, where the separation route runs,
-its route agreement, so the report fails with exit 1.
+its route agreement, so the report fails with exit 1.  F_c separated by
+formulas reads the Q's as sets, so it differs from ``build_Fc`` too.
+
+A break that must meet the pipeline memos cold, or warm from one clean call,
+runs inside ``helpers.cold_caches``, which also clears what the break left.
 """
 
 import contextlib
@@ -18,7 +22,7 @@ import sys
 from pathlib import Path
 
 import zflab
-from helpers import DISJOINT4
+from helpers import DISJOINT4, cold_caches, formula_fc
 from zflab import cli, construction, oracle, orders
 from zflab.construction import Family, U2Variant
 from zflab.errors import CrossCheckFailed
@@ -101,10 +105,11 @@ def break_u1_masks():
 
 
 @contextlib.contextmanager
-def filter_cache(warm_with=None):
-    """The subset filter's cache, empty, or filled by one clean call of
-    ``warm_with``, so that a break meets the filter cold or warm."""
-    with patched(construction, "_filter_cache", {}):
+def memos(warm_with=None):
+    """Every pipeline memo, empty, or filled by one clean call of
+    ``warm_with``, so that a break meets them cold or warm; all are cleared
+    again on exit."""
+    with cold_caches():
         if warm_with is not None:
             warm_with()
         yield
@@ -115,12 +120,12 @@ def build_running_qs():
 
 
 def qs_routes_disagree() -> bool:
-    with filter_cache(), break_qs_product():
+    with memos(), break_qs_product():
         return raises_cross_check(build_running_qs)
 
 
 def qs_routes_disagree_warm() -> bool:
-    with filter_cache(build_running_qs), break_qs_product():
+    with memos(build_running_qs), break_qs_product():
         return raises_cross_check(build_running_qs)
 
 
@@ -141,8 +146,7 @@ def u1_mask_corrupted() -> bool:
 
 def wellorder_routes_disagree() -> bool:
     # The brute-force filter finds nothing; the permutation route still does.
-    with patched(orders, "_rows_satisfy", lambda rows, kind: False), \
-            patched(orders, "_rows_cache", {}):
+    with cold_caches(), patched(orders, "_rows_satisfy", lambda rows, kind: False):
         return raises_cross_check(lambda: orders.enumerate_orders(TWO, WO))
 
 
@@ -169,21 +173,21 @@ def test_families_of_the_same_sizes_and_kind_scan_the_union_base_once():
     other = Family.of([make_set((ONE,)), make_set((EMPTY, make_set((ONE,))))])
     sizes = [tuple(map(len, family)) for family in (RUNNING, other)]
     assert other != RUNNING and sizes == [(1, 2), (1, 2)]
-    real, scanned = construction._scan_union_base, []
-
-    def spy(sizes, kind):
-        scanned.append(sizes)
-        return real(sizes, kind)
-
-    with filter_cache(), patched(construction, "_scan_union_base", spy):
+    with cold_caches():
         for family in (RUNNING, other, RUNNING):
             construction.build_QS(family, UNION, WO)
-    assert sorted(scanned) == [(1,), (1, 2), (2,)]
+        scanned = construction._filtered.cache_info()
+        assert scanned.misses == 3
+        # The three scans were (1,), (2,) and (1, 2): each is now a hit.
+        for key in ((1,), (2,), (1, 2)):
+            construction._filtered(key, WO)
+        info = construction._filtered.cache_info()
+        assert (info.hits - scanned.hits, info.misses) == (3, 3)
 
 
 def cli_outcomes(family_path: str) -> dict:
     """Exit status and error type of ``verify`` with each reachable check
-    broken, the subset filter's cache cold and warm."""
+    broken, the pipeline memos cold and warm."""
     def verify():
         return cli.execute(cli.RunConfig(command="verify", family=family_path))
 
@@ -191,7 +195,7 @@ def cli_outcomes(family_path: str) -> dict:
     for name, breaker, warm_with in (("build_QS", break_qs_product, None),
                                      ("build_QS_warm", break_qs_product, verify),
                                      ("run_pipeline_u1", break_u1_count, None)):
-        with filter_cache(warm_with), breaker():
+        with memos(warm_with), breaker():
             status, rendered = verify()
         report = json.loads(rendered)
         out[name] = [status, report["error"]["type"], report["ok"]]
@@ -278,6 +282,27 @@ EXPECTED_VERIFY = {
 }
 
 
+def formula_route_outcome() -> list:
+    """Does F_c separated by formulas from the running family's Q_S equal
+    ``build_Fc``: clean, then with one recorded least corrupted, which
+    ``build_QS``'s own cross-check does not see."""
+    def agree():
+        qs = build_running_qs()
+        fcs = construction.build_Fc(RUNNING, qs)
+        return list(formula_fc(RUNNING, qs)) == [cf.graph for cf in fcs]
+
+    clean = agree()
+    with break_recorded_least():
+        return [clean, agree()]
+
+
+def test_formula_route_catches_a_corrupted_least(tmp_path):
+    assert formula_route_outcome() == [True, False]
+    debug, got = python_O(tmp_path, "[__debug__, t.formula_route_outcome()]", "")
+    assert debug is False
+    assert got == [True, False]
+
+
 def test_verify_fails_on_a_corrupted_least_and_a_literal_non_product(tmp_path):
     assert verify_outcomes(str(tmp_path)) == EXPECTED_VERIFY
 
@@ -307,24 +332,21 @@ def test_verify_fails_on_a_corrupted_u1_mask_set(tmp_path):
     assert got == expected
 
 
-@contextlib.contextmanager
 def break_mask_layout():
     # Orders are laid into masks column by column, each order transposed;
-    # the subset filter still reads masks row by row.  The picks cache
-    # starts empty, so that every size's picks are laid out anew.
+    # the subset filter still reads masks row by row.  Picks laid out before
+    # the break would hide it, so it runs inside memos() with no picks warm.
     def column_major(rows):
         n = len(rows)
         return sum((row >> j & 1) << (j * n + i) for i, row in enumerate(rows) for j in range(n))
 
-    with patched(construction, "_picks_cache", {}), \
-            patched(construction, "_rows_mask", column_major):
-        yield
+    return patched(construction, "_rows_mask", column_major)
 
 
 def mask_layout_verify_outcome(directory: str) -> list:
     """Exit status, error type and ``ok`` of ``verify --kind pol`` on one
     3-element member, with orders laid into masks column-major, the subset
-    filter's cache cold and then warm.  A well-order transposed is a
+    filter's memo cold and then warm.  A well-order transposed is a
     well-order, so ``pol`` is the kind that shows it."""
     path = os.path.join(directory, "three.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -333,9 +355,12 @@ def mask_layout_verify_outcome(directory: str) -> list:
     def verify():
         return cli.execute(cli.RunConfig(command="verify", family=path, kind="pol"))
 
+    def warm_filter():
+        construction._filtered((3,), OrderKind.PARTIAL_ORDER_WITH_LEAST)
+
     out = []
-    for warm_with in (None, verify):
-        with filter_cache(warm_with), break_mask_layout():
+    for warm_with in (None, warm_filter):
+        with memos(warm_with), break_mask_layout():
             status, rendered = verify()
         report = json.loads(rendered)
         out.append([status, report["error"]["type"], report["ok"]])
