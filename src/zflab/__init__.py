@@ -4,82 +4,16 @@ Hereditarily finite sets with a canonical form, a small first-order language
 evaluated over them, order relations and their enumeration, a choice-function
 construction pipeline with an independent brute-force oracle, and a rational
 interval arm.  The ``zflab`` CLI drives all of it in batch.
+
+The package republishes each module's ``__all__`` and every error class, so
+each public name is listed once, in the module that defines it.
 """
 
-from .construction import (
-    ChoiceFunction,
-    Family,
-    PipelineReport,
-    U2Variant,
-    build_Fc,
-    build_Fc_literal,
-    build_PA,
-    build_QS,
-    build_U2_base,
-    build_universes,
-    choice_from_Q,
-    phi1_holds,
-    phi3_holds,
-    restrict_Q,
-    run_pipeline,
-    theorem4_order_from_choice,
-)
-from .errors import (
-    CapExceeded,
-    EmptyFamily,
-    EmptyInterval,
-    NoLeast,
-    NotAPair,
-    NotLiftShaped,
-    NotUniquelySatisfied,
-    PairOutOfCarrier,
-    ParseError,
-    SampleOutsideInterval,
-    UnboundVariable,
-    ZfLabError,
-)
-from .hfs import (
-    EMPTY,
-    HfSet,
-    canonical_compare,
-    canonical_key,
-    cartesian,
-    hfs_literal,
-    is_member,
-    iter_hfs_by_rank,
-    make_set,
-    ordered_pair,
-    parse_hfs,
-    powerset,
-    union_family,
-    unpair,
-    von_neumann,
-)
-from .intervals import (
-    Interval,
-    Rational,
-    choice_value,
-    hyper_choice,
-    parse_interval,
-    parse_rational,
-    phi2_holds,
-    pol_compare,
-    sample_check_pol,
-)
-from .orders import (
-    OrderKind,
-    PropertyReport,
-    Relation,
-    enumerate_orders,
-    least_element,
-    lift_order,
-    order_from_formula,
-    project_order,
-    relation_over,
-    relation_properties,
-    satisfies,
-    well_order_literal,
-)
+from .construction import *
+from .errors import *
+from .hfs import *
+from .intervals import *
+from .orders import *
 
 __version__ = "0.1.0"
 

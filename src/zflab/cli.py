@@ -52,9 +52,6 @@ from .orders import OrderKind, enumerate_orders
 
 __all__ = ["RunConfig", "execute", "load_family", "main"]
 
-_KINDS = {k.value: k for k in OrderKind}
-_VARIANTS = {v.value: v for v in U2Variant}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -156,8 +153,8 @@ def _induced_orders_roundtrip(family: Family, fcs: tuple) -> bool:
 
 def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
     family = load_family(cfg.family)
-    kind = _KINDS[cfg.kind]
-    variant = _VARIANTS[cfg.u2]
+    kind = OrderKind(cfg.kind)
+    variant = U2Variant(cfg.u2)
     warnings = []
     if family.has_empty_member:
         warnings.append("family contains the empty set")
@@ -209,8 +206,8 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
 
 def _enumerate(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
     family = load_family(cfg.family)
-    kind = _KINDS[cfg.kind]
-    variant = _VARIANTS[cfg.u2]
+    kind = OrderKind(cfg.kind)
+    variant = U2Variant(cfg.u2)
     members = []
     for a in family:
         orders = enumerate_orders(a, kind)
@@ -248,7 +245,7 @@ def _random_family(rng: random.Random, universe: tuple, allow_empty: bool) -> Fa
 def _fuzz(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
     rng = random.Random(cfg.seed)
     universe = iter_hfs_by_rank(2)
-    kind = _KINDS[cfg.kind]
+    kind = OrderKind(cfg.kind)
     checked = 0
     skipped = 0
     with_empty = 0
@@ -462,9 +459,9 @@ def _parser() -> argparse.ArgumentParser:
     intervals = command("intervals", help="rational-interval choice demo and sample checks")
     for cmd in (verify, enum):
         cmd.add_argument("--family", required=True, help="path to a family file")
-        cmd.add_argument("--u2", choices=sorted(_VARIANTS))
+        cmd.add_argument("--u2", choices=sorted(v.value for v in U2Variant))
     for cmd in (verify, enum, fuzz):
-        cmd.add_argument("--kind", choices=sorted(_KINDS))
+        cmd.add_argument("--kind", choices=sorted(k.value for k in OrderKind))
         cmd.add_argument("--powerset-cap", type=int)
         cmd.add_argument("--product-cap", type=int)
     for cmd in (fuzz, intervals):

@@ -84,7 +84,7 @@ from .hfs import (
     unpair,
     von_neumann,
 )
-from .orders import OrderKind, Relation, least_index, order_rows, relation_over
+from .orders import OrderKind, Relation, least_index, order_rows, pointed_order
 
 __all__ = [
     "ChoiceFunction", "DEFAULT_PRODUCT_CAP", "Family", "PipelineReport",
@@ -604,10 +604,7 @@ def build_Fc_literal(family: Family, qs: QSet,
 def theorem4_order_from_choice(a: HfSet, f: ChoiceFunction) -> Relation:
     """The order a choice function induces on one member: the chosen element
     below everything, all else incomparable."""
-    m = f(a)
-    pairs = [ordered_pair(x, x) for x in a.children]
-    pairs.extend(ordered_pair(m, b) for b in a.children)
-    return relation_over(a, make_set(pairs))
+    return pointed_order(a, f(a))
 
 
 def phi3_holds(r: Relation, a: HfSet, f: ChoiceFunction) -> bool:

@@ -437,7 +437,10 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse formula text; raises ParseError with an offset on bad input."""
     p = _Parser(text)
-    node = p.formula()
+    try:
+        node = p.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.pos()) from None
     if p.peek() != "":
         raise ParseError("trailing input after formula", p.pos())
     return node

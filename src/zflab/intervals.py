@@ -173,7 +173,7 @@ def hyper_choice(intervals: Sequence[Union[Interval, str]]) -> tuple:
     for index, item in enumerate(intervals):
         try:
             interval = parse_interval(item) if isinstance(item, str) else item
-        except (EmptyInterval, ValueError) as e:
+        except (EmptyInterval, ParseError, ValueError) as e:
             raise type(e)(f"component {index}: {e}") from None
         chosen.append(choice_value(interval))
     return tuple(chosen)

@@ -59,8 +59,8 @@ if TYPE_CHECKING:
 __all__ = [
     "OrderKind", "PropertyReport", "Relation", "enumerate_orders",
     "least_element", "least_index", "lift_order", "order_from_formula",
-    "order_rows", "project_order", "properties_from_rows", "relation_over",
-    "relation_properties", "satisfies", "well_order_literal",
+    "order_rows", "pointed_order", "project_order", "properties_from_rows",
+    "relation_over", "relation_properties", "satisfies", "well_order_literal",
 ]
 
 
@@ -280,11 +280,14 @@ def order_from_formula(a: HfSet, phi: Formula, env: Mapping = (), var: str | Non
         raise NotUniquelySatisfied(
             f"formula holds at {sum(holds)} elements of {a!r}, need exactly 1"
         )
-    pairs = []
-    for i, x1 in enumerate(a.children):
-        for x2 in a.children:
-            if x1 == x2 or holds[i]:
-                pairs.append(ordered_pair(x1, x2))
+    return pointed_order(a, a.children[holds.index(True)])
+
+
+def pointed_order(a: HfSet, m: HfSet) -> Relation:
+    """The order of Theorem 4: ``m`` below every element of ``a``, all else
+    incomparable.  It is a partial order with least element ``m``."""
+    pairs = [ordered_pair(x, x) for x in a.children]
+    pairs.extend(ordered_pair(m, b) for b in a.children)
     return relation_over(a, make_set(pairs))
 
 

@@ -47,6 +47,8 @@ from zflab.orders import (
     OrderKind,
     enumerate_orders,
     lift_order,
+    order_from_formula,
+    pointed_order,
     relation_properties,
     satisfies,
 )
@@ -412,6 +414,19 @@ def test_theorem4_order_is_pol_with_chosen_least():
             r = theorem4_order_from_choice(a, cf)
             assert satisfies(r, OrderKind.PARTIAL_ORDER_WITH_LEAST)
             assert phi3_holds(r, a, cf)
+
+
+def test_one_theorem4_order():
+    # The formula route, the choice route and pointed_order give one order.
+    carriers = [ONE, make_set((E, S1)), make_set((E, S1, S2)), make_set(UNIVERSE4)]
+    for a in carriers:
+        for m in a.children:
+            r = pointed_order(a, m)
+            cf = ChoiceFunction(make_set((ordered_pair(a, m),)))
+            assert order_from_formula(a, parse_formula(f"x = {hfs_literal(m)}")) == r
+            assert theorem4_order_from_choice(a, cf) == r
+            assert phi3_holds(r, a, cf)
+            assert satisfies(r, OrderKind.PARTIAL_ORDER_WITH_LEAST)
 
 
 def test_phi3_rejects_other_relations():

@@ -114,6 +114,22 @@ def test_parse_errors(bad, offset_hint):
         parse_formula(bad)
 
 
+@pytest.mark.parametrize("deep", [
+    "!" * 3000 + "x = x",
+    "(" * 3000 + "x = x" + ")" * 3000,
+    "x = " + "{" * 3000 + "}" * 3000,
+], ids=["not", "parens", "braces"])
+def test_deep_nesting_is_a_parse_error(deep):
+    with pytest.raises(ParseError) as err:
+        parse_formula(deep)
+    assert type(err.value) is ParseError
+    assert str(err.value).startswith("formula nested too deeply")
+
+
+def test_a_hundred_nested_parentheses_still_parse():
+    assert parse_formula("(" * 100 + "x = y" + ")" * 100) == Equals(Var("x"), Var("y"))
+
+
 def test_quantifier_semantics_on_empty_domain():
     assert eval_formula(parse_formula("forall x in {} . false"), {})
     assert not eval_formula(parse_formula("exists x in {} . true"), {})

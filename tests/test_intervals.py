@@ -238,3 +238,13 @@ def test_hyper_choice_reports_the_component_with_a_closed_infinite_end():
             hyper_choice(["[1,3]", bad])
         assert type(err.value) is ValueError
         assert str(err.value).startswith("component 1: an infinite ")
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("garbage", "component 1: not an interval literal: 'garbage'"),
+    ("[1/0,3]", "component 1: zero denominator: '1/0'"),
+], ids=["garbage", "zero-denominator"])
+def test_hyper_choice_reports_the_component_with_a_malformed_literal(bad, message):
+    with pytest.raises(ParseError) as err:
+        hyper_choice(["[1,3]", bad])
+    assert str(err.value) == message
