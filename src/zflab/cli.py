@@ -33,7 +33,8 @@ from .construction import (
     run_pipeline,
     theorem4_order_from_choice,
 )
-from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, ParseError, ZfLabError
+from .errors import (CapExceeded, ConfigError, CrossCheckFailed, EmptyFamily, ParseError,
+                     ZfLabError)
 from .hfs import (
     DEFAULT_POWERSET_CAP,
     hfs_literal,
@@ -85,10 +86,13 @@ def load_family(path: str) -> Family:
     if not isinstance(data, dict) or not isinstance(data.get("family"), list):
         raise ParseError(f'{path}: expected a top-level {{"family": [...]}} object')
     members = []
-    for entry in data["family"]:
+    for index, entry in enumerate(data["family"]):
         if not isinstance(entry, str):
             raise ParseError(f"{path}: family entries must be set literals")
-        members.append(parse_hfs(entry))
+        try:
+            members.append(parse_hfs(entry))
+        except ParseError as e:
+            raise ParseError(f"{path}: family entry {index}: {e}") from None
     if not members:
         raise EmptyFamily(f"{path}: the family list is empty")
     return Family.of(members)
@@ -219,10 +223,7 @@ def _enumerate(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
     report["members"] = members
     qs = build_QS(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
     fcs = build_Fc(family, qs)
-    report["q_s"] = {
-        "size": len(qs),
-        "relations": [hfs_literal(q) for q in qs.children],
-    }
+    report["q_s"] = {"size": len(qs), "relations": _SetLiterals(qs.literals())}
     report["f_c"] = {
         "size": len(fcs),
         "graphs": [hfs_literal(cf.graph) for cf in fcs],
@@ -373,6 +374,34 @@ _COMMANDS = {
 }
 
 
+# The values ``main``'s parser lets through, for the RunConfig fields it
+# restricts to a choice.
+_CHOICES = {
+    "command": sorted(_COMMANDS),
+    "kind": sorted(k.value for k in OrderKind),
+    "u2": sorted(v.value for v in U2Variant),
+    "format": ["json", "text"],
+}
+
+
+def _check_config(cfg: RunConfig) -> None:
+    """ConfigError on a value that ``main`` would refuse."""
+    for name, allowed in _CHOICES.items():
+        value = getattr(cfg, name)
+        if value not in allowed:
+            raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+    for name in ("seed", "trials", "powerset_cap", "product_cap"):
+        value = getattr(cfg, name)
+        if type(value) is not int:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < 0 and name != "seed":
+            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    if cfg.command in ("verify", "enumerate") and not isinstance(cfg.family, str):
+        raise ConfigError(f"family must be a file path for {cfg.command}, got {cfg.family!r}")
+    if not (isinstance(cfg.literals, tuple) and all(isinstance(t, str) for t in cfg.literals)):
+        raise ConfigError(f"literals must be a tuple of strings, got {cfg.literals!r}")
+
+
 def execute(cfg: RunConfig) -> tuple:
     """Run one command; return (exit status, rendered report)."""
     report = {"command": cfg.command, "config": _config_dict(cfg)}
@@ -380,6 +409,7 @@ def execute(cfg: RunConfig) -> tuple:
     failures: list = []
     status = 0
     try:
+        _check_config(cfg)
         _COMMANDS[cfg.command](cfg, report, findings, failures)
     except ZfLabError as e:
         report["error"] = {"type": type(e).__name__, "message": str(e)}
@@ -403,9 +433,43 @@ def _conclude(cfg: RunConfig, report: dict, findings: list, failures: list,
 
 
 def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    return "\n".join(_text_lines(report, 0)) + "\n"
+    if fmt == "text":
+        return "\n".join(_text_lines(report, 0)) + "\n"
+    chunks: list = []
+    _json_chunks(report, "", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+class _SetLiterals(list):
+    """A list of set literals.  A literal holds only '{', '}' and ',', so it
+    is its own JSON string body, and the renderer writes it unescaped."""
+
+
+def _json_chunks(value, pad: str, chunks: list) -> None:
+    """Append the text ``json.dumps(value, indent=2)`` gives ``value`` at
+    indentation ``pad`` to ``chunks``."""
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{\n"
+        for key, item in value.items():
+            chunks.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _json_chunks(item, inner, chunks)
+            sep = ",\n"
+        chunks.append(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep = "[\n"
+        for item in value:
+            chunks.append(sep + inner)
+            if isinstance(value, _SetLiterals):
+                chunks += ('"', item, '"')
+            else:
+                _json_chunks(item, inner, chunks)
+            sep = ",\n"
+        chunks.append(f"\n{pad}]")
+    else:
+        chunks.append(json.dumps(value))
 
 
 def _text_lines(value, depth: int) -> list:
@@ -459,9 +523,9 @@ def _parser() -> argparse.ArgumentParser:
     intervals = command("intervals", help="rational-interval choice demo and sample checks")
     for cmd in (verify, enum):
         cmd.add_argument("--family", required=True, help="path to a family file")
-        cmd.add_argument("--u2", choices=sorted(v.value for v in U2Variant))
+        cmd.add_argument("--u2", choices=_CHOICES["u2"])
     for cmd in (verify, enum, fuzz):
-        cmd.add_argument("--kind", choices=sorted(k.value for k in OrderKind))
+        cmd.add_argument("--kind", choices=_CHOICES["kind"])
         cmd.add_argument("--powerset-cap", type=int)
         cmd.add_argument("--product-cap", type=int)
     for cmd in (fuzz, intervals):
@@ -472,7 +536,7 @@ def _parser() -> argparse.ArgumentParser:
                            help="interval literals such as [1,3] or (0,+inf)")
     for cmd in (verify, enum, fuzz, intervals):
         cmd.add_argument("--out", help="write the report here instead of stdout")
-        cmd.add_argument("--format", choices=("json", "text"))
+        cmd.add_argument("--format", choices=_CHOICES["format"])
     return parser
 
 

@@ -12,9 +12,9 @@ hands it to both.
 
 Q_S is held as per-member order picks (:class:`QSet`): each Q unions one
 transported order per member, and each order carries its least element, so
-F_c is the product of each member's distinct leasts.  The Q's are built as
-sets only where something reads them (the ``enumerate`` report prints them
-all); a report's one witness Q is built alone.
+F_c is the product of each member's distinct leasts.  No report builds the
+Q's as sets: ``enumerate`` prints them from the picks' positions
+(:meth:`QSet.literals`), and a report's one witness Q is built alone.
 
 The candidate universe U2 is deliberately built in two inequivalent ways:
 
@@ -79,6 +79,7 @@ from .hfs import (
     make_set,
     ordered_pair,
     powerset,
+    subset_order,
     subsets_of,
     union_family,
     unpair,
@@ -377,11 +378,12 @@ class QSet:
     ``picks`` holds, per member of ``members`` (canonical order), the (mask,
     least index) of each order the member may contribute; Q_S is every
     union of one pick per member, so ``len`` is the product of the pick
-    counts.  ``children`` builds the Q's as sets, in canonical order, on
-    first read: every Q is a subset of the union of the members' cells, so
-    each pick becomes a tuple of positions in that base once, and the kernel
-    orders the Q's by their merged positions (:func:`subsets_of`).  Equality
-    is equality of the sets of Q's, so it builds them.
+    counts.  Every Q is a subset of the union of the members' cells, so
+    each pick becomes a tuple of positions in that base once, and each Q is
+    its merged positions, in :func:`subset_order`.  ``children`` builds the
+    Q's from them as sets, on first read; :meth:`literals` joins the base
+    pairs' literals instead and builds no Q.  Equality is equality of the
+    sets of Q's, so it builds them.
     """
 
     __slots__ = ("members", "picks", "_set")
@@ -394,24 +396,32 @@ class QSet:
     def __len__(self) -> int:
         return math.prod(len(member_picks) for member_picks in self.picks)
 
+    def _positions(self) -> tuple:
+        """The union base, and each Q as a tuple of positions in it."""
+        cells = [_cells(a) for a in self.members]
+        base = make_set(itertools.chain.from_iterable(cells))
+        position = {p: i for i, p in enumerate(base.children)}
+        indexed = [
+            [sorted(position[member_cells[b]] for b in _bits(mask)) for mask, _ in member_picks]
+            for member_cells, member_picks in zip(cells, self.picks)
+        ]
+        # Members' pairs are disjoint, so each Q's merged positions are
+        # distinct; each pick's are increasing, so sorting merges runs.
+        return base, (tuple(sorted(itertools.chain.from_iterable(combo)))
+                      for combo in itertools.product(*indexed))
+
     @property
     def children(self) -> tuple:
         if self._set is None:
-            cells = [_cells(a) for a in self.members]
-            base = make_set(itertools.chain.from_iterable(cells))
-            position = {p: i for i, p in enumerate(base.children)}
-            indexed = [
-                [sorted(position[member_cells[b]] for b in _bits(mask)) for mask, _ in member_picks]
-                for member_cells, member_picks in zip(cells, self.picks)
-            ]
-            del position
-            # Members' pairs are disjoint, so each Q's merged positions are
-            # distinct; each pick's are increasing, so sorting merges runs.
-            self._set = subsets_of(base, (
-                tuple(sorted(itertools.chain.from_iterable(combo)))
-                for combo in itertools.product(*indexed)
-            ))
+            self._set = subsets_of(*self._positions())
         return self._set.children
+
+    def literals(self) -> list:
+        """Each Q's literal, in the order of :attr:`children`."""
+        base, positions = self._positions()
+        text = [hfs_literal(p) for p in base.children]
+        return ["{" + ",".join(map(text.__getitem__, s)) + "}"
+                for s in subset_order(base, positions)]
 
     def __eq__(self, other):
         if not isinstance(other, (QSet, HfSet)):

@@ -55,5 +55,9 @@ class EmptyFamily(ZfLabError):
     """A family of sets must have at least one member."""
 
 
+class ConfigError(ZfLabError):
+    """A run configuration holds a value that no command accepts."""
+
+
 class CrossCheckFailed(ZfLabError):
     """Two independent routes to the same result disagree."""

@@ -23,13 +23,13 @@ many sets (a tagged pair inside every relation of Q_S, say) is printed once
 per process however often it is reached.
 
 Subsets of one base are ordered without comparing canonical keys
-(:func:`subsets_of`).  Subsets of a canonically sorted base compare first
-by rank, then by size, then lexicographically on their children; position
-order on the base is canonical order, so comparing children
-lexicographically is comparing their positions lexicographically, and a
-subset's rank is one more than the rank of its last child.  Ordering by the
-integer key (1 + rank of the last picked child, size, positions) is thus
-canonical order.
+(:func:`subset_order`, which :func:`subsets_of` builds from).  Subsets of a
+canonically sorted base compare first by rank, then by size, then
+lexicographically on their children; position order on the base is
+canonical order, so comparing children lexicographically is comparing their
+positions lexicographically, and a subset's rank is one more than the rank
+of its last child.  Ordering by the integer key (1 + rank of the last
+picked child, size, positions) is thus canonical order.
 
 The literal grammar is ``set := '{' (set (',' set)*)? '}'`` with insignificant
 whitespace, nested at most ``MAX_LITERAL_DEPTH`` braces deep.  The empty set
@@ -61,6 +61,7 @@ __all__ = [
     "ordered_pair",
     "parse_hfs",
     "powerset",
+    "subset_order",
     "subsets_of",
     "union_family",
     "unpair",
@@ -227,28 +228,41 @@ def union_family(s: HfSet) -> HfSet:
     return make_set(x for child in s.children for x in child.children)
 
 
-def subsets_of(base: HfSet, index_sets: Iterable[tuple]) -> HfSet:
-    """The set of the subsets of ``base`` picked by ``index_sets``.
+def subset_order(base: HfSet, index_sets: Iterable[tuple]) -> list:
+    """The distinct index sets, in the canonical order of the subsets of
+    ``base`` they pick.
 
     Each index set is a strictly increasing tuple of positions in
-    ``base.children``; equal index sets give one subset.  The subsets are
-    ordered by their positions (see the module docstring), never by
-    comparing canonical keys.  ValueError if an index set repeats a
-    position, descends, or leaves ``range(len(base))``.
+    ``base.children``.  They are ordered by the integer key (1 + rank of
+    the last position, size, positions), never by comparing canonical keys
+    (see the module docstring).
     """
     children = base.children
-    n = len(children)
-    keys = set()
+    keys = {(1 + children[s[-1]].rank, len(s), s) if s else (0, 0, s) for s in index_sets}
+    return [s for _, _, s in sorted(keys)]
+
+
+def _checked(index_sets: Iterable[tuple], n: int) -> Iterator[tuple]:
     for s in index_sets:
         if s and not (0 <= s[0] and s[-1] < n and all(map(operator.lt, s, s[1:]))):
             raise ValueError(f"{s!r} is not a strictly increasing tuple of "
                              f"positions below {n}")
-        keys.add((1 + children[s[-1]].rank, len(s), s) if s else (0, 0, s))
-    positions = [s for _, _, s in sorted(keys)]
-    del keys  # only the positions are needed to build the nodes
+        yield s
+
+
+def subsets_of(base: HfSet, index_sets: Iterable[tuple]) -> HfSet:
+    """The set of the subsets of ``base`` picked by ``index_sets``.
+
+    Each index set is a strictly increasing tuple of positions in
+    ``base.children``; equal index sets give one subset.  The subsets come
+    in :func:`subset_order`.  ValueError if an index set repeats a
+    position, descends, or leaves ``range(len(base))``.
+    """
+    children = base.children
     # A subsequence of a sorted tuple is sorted.
     pick = children.__getitem__
-    return _node(tuple(_node(tuple(map(pick, s))) for s in positions))
+    return _node(tuple(_node(tuple(map(pick, s)))
+                       for s in subset_order(base, _checked(index_sets, len(children)))))
 
 
 def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
@@ -345,6 +359,8 @@ def _parse_set(text: str, pos: int, depth: int) -> tuple[HfSet, int]:
     if pos < len(text) and text[pos] == "}":
         return make_set(elems), pos + 1
     while True:
+        if pos >= len(text):
+            raise ParseError("unterminated set literal", pos)
         elem, pos = _parse_set(text, pos, depth + 1)
         elems.append(elem)
         pos = _skip_ws(text, pos)

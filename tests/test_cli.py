@@ -56,6 +56,37 @@ def test_load_family_errors(tmp_path):
         cli.load_family(str(nonstr))
 
 
+def test_a_malformed_family_entry_names_the_file_and_the_entry(tmp_path):
+    path = write_family(tmp_path, ["{{}}", "{"])
+    with pytest.raises(ParseError) as err:
+        cli.load_family(path)
+    assert str(err.value) == f"{path}: family entry 1: unterminated set literal (at offset 1)"
+
+
+@pytest.mark.parametrize("fields,named", [
+    ({"command": "nope"}, "command"),
+    ({"command": "fuzz", "kind": "bogus"}, "kind"),
+    ({"command": "verify", "family": "f.json", "u2": "bogus"}, "u2"),
+    ({"command": "fuzz", "format": "xml"}, "format"),
+    ({"command": "fuzz", "trials": -1}, "trials"),
+    ({"command": "intervals", "trials": "3"}, "trials"),
+    ({"command": "fuzz", "trials": True}, "trials"),
+    ({"command": "fuzz", "seed": [1]}, "seed"),
+    ({"command": "intervals", "literals": (3,)}, "literals"),
+    ({"command": "intervals", "literals": "[1,3]"}, "literals"),
+    ({"command": "fuzz", "powerset_cap": -1}, "powerset_cap"),
+    ({"command": "enumerate", "family": "f.json", "product_cap": -5}, "product_cap"),
+    ({"command": "verify"}, "family"),
+])
+def test_execute_reports_a_config_main_would_refuse(fields, named):
+    status, rendered = cli.execute(cli.RunConfig(**fields))
+    report = json.loads(rendered)
+    assert status == 2
+    assert report["ok"] is False
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith(named)
+
+
 def test_verify_reports_the_expected_sizes(tmp_path, capsys):
     fam = write_family(tmp_path, ["{{}}", "{{},{{}}}"])
     status = run_cli(["verify", "--family", fam, "--kind", "wellorder",
@@ -555,11 +586,12 @@ def test_the_oracle_enumerates_choice_functions_once_per_family(tmp_path, monkey
         assert [hfs.hfs_literal(args[0]) for args in calls[:5]] == samples
 
 
-def test_enumerate_builds_its_q_s_once(tmp_path, monkeypatch):
+def test_enumerate_builds_no_q_node(tmp_path, monkeypatch):
+    # enumerate prints Q_S from the picks' positions (QSet.literals).
     builds = count_q_builds(monkeypatch)
     assert run_in(tmp_path, monkeypatch, ["{{}}", "{{},{{}}}"],
                   ["--out", "r.json"], command="enumerate") == 0
-    assert builds == [2]
+    assert builds == []
 
 
 @pytest.mark.parametrize("kind,size", [(OrderKind.WELL_ORDER, 48),

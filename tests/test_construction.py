@@ -716,3 +716,27 @@ def test_q_s_equality_is_set_equality():
     assert build_QS(Family.of([EMPTY]), union, OrderKind.WELL_ORDER) == build_QS(
         RUNNING, U2Variant.LITERAL, OrderKind.WELL_ORDER)  # both empty
     assert wo == make_set(wo.children)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3),
+       st.sampled_from(list(OrderKind)), st.sampled_from(list(U2Variant)))
+@example([ONE, TWO], OrderKind.WELL_ORDER, U2Variant.LITERAL)  # "relations": []
+@example([EMPTY, make_set((E, S1))], OrderKind.PARTIAL_ORDER_WITH_LEAST,
+         U2Variant.UNION_OF_PRODUCTS)
+@example([A4], OrderKind.PARTIAL_ORDER_WITH_LEAST, U2Variant.UNION_OF_PRODUCTS)
+def test_q_s_literals_and_the_enumerate_report_equal_the_materialized_q_s(
+        tmp_path_factory, members, kind, variant):
+    fam = Family.of(members)
+    qs = build_QS(fam, variant, kind)
+    literals = qs.literals()
+    expected = [hfs_literal(q) for q in qs.children]
+    assert literals == expected
+    path = tmp_path_factory.mktemp("family") / "family.json"
+    path.write_text(json.dumps({"family": [hfs_literal(a) for a in fam]}))
+    status, rendered = cli.execute(cli.RunConfig(
+        command="enumerate", family=str(path), kind=kind.value, u2=variant.value))
+    assert status == 0
+    report = json.loads(rendered)
+    assert report["q_s"] == {"size": len(expected), "relations": expected}
+    assert rendered == json.dumps(report, indent=2) + "\n"

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,25 @@ def test_literal_roundtrip():
 def test_parse_rejects_malformed_literals(bad):
     with pytest.raises(ParseError):
         parse_hfs(bad)
+
+
+@pytest.mark.parametrize("text,offset", [("{", 1), ("{ ", 2), ("{{", 2), ("{{}", 3),
+                                         ("{{},", 4)])
+def test_a_literal_that_ends_inside_a_set_is_unterminated(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_hfs(text)
+    assert str(err.value) == f"unterminated set literal (at offset {offset})"
+
+
+def test_set_literals_hold_only_braces_and_commas():
+    # So a literal is its own JSON string body: no character needs escaping.
+    texts = [hfs_literal(s) for s in iter_hfs_by_rank(3)]
+    texts += [hfs_literal(parse_hfs(text)) for text in
+              (" { } ", "{\n{ },\t{{}} }", "{ {{}} , { } ,{{{}}}}\r\n")]
+    assert len(texts) == 16 + 3
+    for text in texts:
+        assert set(text) <= set("{},")
+        assert json.dumps(text) == '"' + text + '"'
 
 
 def test_parse_error_carries_offset():
