@@ -24,6 +24,7 @@ from typing import Optional
 from . import oracle
 from .construction import (
     DEFAULT_PRODUCT_CAP,
+    ChoiceFunction,
     Family,
     U2Variant,
     build_Fc,
@@ -37,9 +38,11 @@ from .errors import (CapExceeded, ConfigError, CrossCheckFailed, EmptyFamily, Pa
                      ZfLabError)
 from .hfs import (
     DEFAULT_POWERSET_CAP,
+    HfSet,
     hfs_literal,
     iter_hfs_by_rank,
     make_set,
+    ordered_pair,
     parse_hfs,
 )
 from .intervals import (
@@ -140,19 +143,22 @@ def _config_dict(cfg: RunConfig) -> dict:
     return {name: getattr(cfg, name) for name in _CONFIG_KEYS}
 
 
+@functools.cache
+def _induced_order_holds(a: HfSet, m: HfSet) -> bool:
+    """Does the order that choosing ``m`` from member ``a`` induces meet its
+    defining condition?  Both sides read a choice function only through its
+    value at ``a``, so a one-pair choice function stands for every choice
+    function that chooses ``m`` there, and the verdict is computed once per
+    (member, chosen element) per process, the order built as kernel sets."""
+    cf = ChoiceFunction(make_set((ordered_pair(a, m),)))
+    return phi3_holds(theorem4_order_from_choice(a, cf), a, cf)
+
+
 def _induced_orders_roundtrip(family: Family, fcs: tuple) -> bool:
     """Does the order every choice function induces on every member meet
-    its defining condition?  Both sides read a choice function only through
-    its value at the member, so each distinct (member, chosen element) pair
-    is checked once, with the first choice function that chooses it."""
-    firsts = {}
-    for cf in fcs:
-        for a in family:
-            firsts.setdefault((a, cf(a)), cf)
-    return all(
-        phi3_holds(theorem4_order_from_choice(a, cf), a, cf)
-        for (a, _), cf in firsts.items()
-    )
+    its defining condition?  Each distinct (member, chosen element) pair is
+    checked by :func:`_induced_order_holds`, once per process."""
+    return all(_induced_order_holds(a, cf(a)) for cf in fcs for a in family)
 
 
 def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:

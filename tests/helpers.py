@@ -10,7 +10,7 @@ shares no code with the package.
 import contextlib
 import itertools
 
-from zflab import construction, orders
+from zflab import cli, construction, orders
 from zflab.formula import parse_formula, separation
 from zflab.hfs import (
     HfSet,
@@ -51,6 +51,12 @@ def frozen_powerset(s: frozenset) -> frozenset:
 
 # --- member and family spaces -------------------------------------------------
 
+# Every subset of the four-element universe, and those of at most three
+# elements.
+SUBSETS4 = [make_set(c) for k in range(5) for c in itertools.combinations(UNIVERSE4, k)]
+SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]
+
+
 def nonempty_subsets(atoms, max_size):
     """All nonempty subsets of ``atoms`` up to ``max_size``, as sets."""
     out = []
@@ -77,7 +83,7 @@ def small_family_space():
 # here, at import, so that a test which patches one of these names still
 # clears the memo itself.
 MEMOS = (construction._cells, construction._picks, construction._filtered,
-         orders.order_rows)
+         orders.order_rows, cli._induced_order_holds)
 
 
 @contextlib.contextmanager

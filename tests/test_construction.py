@@ -1,14 +1,18 @@
 """Pipeline tests: universes, separation, combined relations, choice sets."""
 
 import ast
+import importlib
 import itertools
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import MEMOS, UNIVERSE4, cold_caches, formula_fc, to_frozen
+import zflab
+from helpers import (MEMOS, SUBSETS4, SUBSETS4_UP_TO_3, UNIVERSE4, cold_caches, formula_fc,
+                     to_frozen)
 from zflab import cli, construction, hfs, oracle, orders
 from zflab.errors import CapExceeded, EmptyFamily, NoLeast
 from zflab.construction import (
@@ -108,9 +112,6 @@ def test_u1_matches_frozenset_model():
         assert len(u1) == model(family)
 
 
-SUBSETS4 = [make_set(c) for k in range(5) for c in itertools.combinations(UNIVERSE4, k)]
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(SUBSETS4), min_size=1, max_size=4))
 @example([make_set((E, S1)), make_set((S1, S2)), make_set((S2, D))])    # overlapping
@@ -142,9 +143,6 @@ def cap_outcome(size):
         return size()
     except CapExceeded as e:
         return str(e)
-
-
-SUBSETS4_UP_TO_3 = [s for s in SUBSETS4 if len(s) <= 3]
 
 
 @settings(max_examples=10, deadline=None)
@@ -566,6 +564,21 @@ def test_no_module_keeps_a_hand_rolled_memo():
     assert found == allowed
 
 
+def test_every_memo_is_cleared_by_cold_caches():
+    # A functools.cache memo that cold_caches() does not clear would carry
+    # what one test computed, under a patch or not, into the next.  The
+    # parser is the one memo left out: it holds no pipeline result.
+    registered = set(map(id, MEMOS))
+    modules = [zflab] + [importlib.import_module(f"zflab.{info.name}")
+                         for info in pkgutil.iter_modules(zflab.__path__)]
+    found = {f"{module.__name__}.{name}": value for module in modules
+             for name, value in vars(module).items() if hasattr(value, "cache_clear")}
+    unregistered = [name for name, value in found.items()
+                    if id(value) not in registered and value is not cli._parser]
+    assert unregistered == []
+    assert registered <= set(map(id, found.values()))
+
+
 def test_carriers_of_one_size_share_one_enumeration(monkeypatch):
     satisfy = orders._rows_satisfy
     calls = []
@@ -594,8 +607,10 @@ def test_verify_computes_each_artifact_once_per_key(tmp_path):
         return {memo.__name__: memo.cache_info().misses for memo in MEMOS}
 
     # _cells: the two members; _picks and order_rows: sizes 1 and 2;
-    # _filtered: (1,), (2,) and (1, 2).
-    once = {"_cells": 2, "_picks": 2, "_filtered": 3, "order_rows": 2}
+    # _filtered: (1,), (2,) and (1, 2); _induced_order_holds: {{}} with {},
+    # and {{},{{}}} with each of its two elements.
+    once = {"_cells": 2, "_picks": 2, "_filtered": 3, "order_rows": 2,
+            "_induced_order_holds": 3}
     with cold_caches():
         first = cli.execute(config)
         assert misses() == once

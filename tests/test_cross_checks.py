@@ -12,6 +12,10 @@ formulas reads the Q's as sets, so it differs from ``build_Fc`` too.
 
 A break that must meet the pipeline memos cold, or warm from one clean call,
 runs inside ``helpers.cold_caches``, which also clears what the break left.
+
+The Theorem-4 roundtrip keeps one verdict per (member, chosen element), so a
+broken induced order shows only to a cold memo; the memo's verdicts equal
+the direct route's, clean and broken alike.
 """
 
 import contextlib
@@ -21,12 +25,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 import zflab
-from helpers import DISJOINT4, cold_caches, formula_fc
+from helpers import DISJOINT4, SUBSETS4, SUBSETS4_UP_TO_3, cold_caches, formula_fc
 from zflab import cli, construction, oracle, orders
-from zflab.construction import Family, U2Variant
+from zflab.construction import Family, U2Variant, phi3_holds, theorem4_order_from_choice
 from zflab.errors import CrossCheckFailed
-from zflab.hfs import EMPTY, cartesian, make_set
+from zflab.hfs import EMPTY, cartesian, make_set, ordered_pair
 from zflab.orders import OrderKind
 
 ONE = make_set((EMPTY,))
@@ -374,3 +381,101 @@ def test_verify_fails_on_orders_laid_column_major(tmp_path):
                           str(tmp_path))
     assert debug is False
     assert got == expected
+
+
+# --- the Theorem-4 roundtrip ----------------------------------------------------
+
+def break_induced_order():
+    # The Theorem-4 order loses the pair (m, b), b the first element of the
+    # member other than the chosen m, so m is no longer below b; on a
+    # singleton member it stays whole.  theorem4_order_from_choice reads
+    # construction's name for pointed_order, so that name is patched.
+    real = orders.pointed_order
+
+    def pointed_order(a, m):
+        r = real(a, m)
+        b = next((b for b in a.children if b != m), None)
+        if b is None:
+            return r
+        dropped = ordered_pair(m, b)
+        return orders.relation_over(a, make_set(p for p in r.pairs.children if p != dropped))
+
+    return patched(construction, "pointed_order", pointed_order)
+
+
+def induced_order_outcomes(family_path: str) -> list:
+    """``verify`` on the running family and ``fuzz --trials 5``, the memos
+    cold and the Theorem-4 order broken: verify's exit status, roundtrip
+    check, failures and ``ok``, then fuzz's exit status, failures and
+    ``ok``."""
+    with cold_caches(), break_induced_order():
+        verify_status, verify = cli.execute(cli.RunConfig(command="verify", family=family_path))
+        fuzz_status, fuzz = cli.execute(cli.RunConfig(command="fuzz", trials=5))
+    verify, fuzz = json.loads(verify), json.loads(fuzz)
+    return [[verify_status, verify["cross_checks"]["induced_order_roundtrip"],
+             verify["failures"], verify["ok"]],
+            [fuzz_status, fuzz["failures"], fuzz["ok"]]]
+
+
+# Seed 0's trial 2 is the one family of singletons, whose orders stay whole.
+EXPECTED_INDUCED = [
+    [1, False, ["choice-induced order failed its defining condition"], False],
+    [1, [f"trial {i}: induced order failed on {family}" for i, family in (
+        (0, "{{{},{{}}},{{{}},{{{}}},{{},{{}}}}}"),
+        (1, "{{{{{}}}},{{{}},{{{}}}}}"),
+        (3, "{{{},{{}}},{{},{{}},{{{}}}},{{},{{}},{{},{{}}}}}"),
+        (4, "{{{{}},{{{}}}},{{{{}}},{{},{{}}}}}"),
+    )], False],
+]
+
+
+def test_a_broken_induced_order_fails_verify_and_fuzz(tmp_path):
+    family_path = write_running(tmp_path)
+    assert induced_order_outcomes(family_path) == EXPECTED_INDUCED
+    debug, got = python_O(tmp_path, "[__debug__, t.induced_order_outcomes(sys.argv[1])]",
+                          family_path)
+    assert debug is False
+    assert got == EXPECTED_INDUCED
+
+
+def direct_verdict(a, cf) -> bool:
+    return phi3_holds(theorem4_order_from_choice(a, cf), a, cf)
+
+
+def fc_of(family) -> tuple:
+    return construction.build_Fc(family, construction.build_QS(family, UNION, WO))
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
+def test_the_memo_gives_the_direct_verdict_cold_and_warm(broken):
+    # Each element of a member is the least of one of its well-orders, so
+    # the member's own F_c chooses each element once.
+    choices = [(a, cf) for a in SUBSETS4 for cf in fc_of(Family.of([a]))]
+    assert len(choices) == 32
+    with cold_caches(), (break_induced_order() if broken else contextlib.nullcontext()):
+        direct = [direct_verdict(a, cf) for a, cf in choices]
+        cold = [cli._induced_order_holds(a, cf(a)) for a, cf in choices]
+        warm = [cli._induced_order_holds(a, cf(a)) for a, cf in choices]
+        info = cli._induced_order_holds.cache_info()
+    assert cold == warm == direct
+    assert (info.misses, info.hits) == (32, 32)
+    # Broken, only the four singletons keep their order.
+    assert direct.count(False) == (28 if broken else 0)
+
+
+def old_roundtrip(family, fcs) -> bool:
+    # One check per choice function and member, with no memo.
+    return all(direct_verdict(a, cf) for cf in fcs for a in family)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3), st.booleans())
+@example([make_set((EMPTY, ONE)), make_set((ONE,))], True)
+@example([make_set((ONE,)), make_set((EMPTY,))], True)
+def test_the_memoized_roundtrip_equals_the_loop_it_replaces(members, broken):
+    family = Family.of(members)
+    fcs = fc_of(family)
+    with cold_caches(), (break_induced_order() if broken else contextlib.nullcontext()):
+        for cf in fcs:
+            assert cli._induced_orders_roundtrip(family, (cf,)) == old_roundtrip(family, (cf,))
+        assert cli._induced_orders_roundtrip(family, fcs) == old_roundtrip(family, fcs)
