@@ -4,9 +4,13 @@ side, fuzz random families, and emit deterministic reports.
 Reports are plain dicts rendered as JSON or indented text; for a fixed
 configuration (including the seed) the emitted bytes are identical across
 runs.  Exit status is 0 exactly when no asserted property failed, 1 when one
-did (including a cross-check between two internal routes), and 2 on
-diagnostics (bad input, caps, unwritable output); findings (such as the
-literal-universe empty Q_S) are recorded without failing.
+did (including a cross-check between two internal routes, and a built graph
+that is not a choice function on the family), and 2 on diagnostics (bad
+input, caps, unwritable output); findings (such as the literal-universe
+empty Q_S) are recorded without failing.
+
+F_c is carried as the canonically sorted tuple of its graphs, the shape of
+the oracle's, so ``verify`` and ``fuzz`` compare the two directly.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Optional
 from . import oracle
 from .construction import (
     DEFAULT_PRODUCT_CAP,
-    ChoiceFunction,
     Family,
     U2Variant,
     build_Fc,
@@ -32,18 +35,18 @@ from .construction import (
     build_QS,
     phi3_holds,
     run_pipeline,
-    theorem4_order_from_choice,
 )
-from .errors import (CapExceeded, ConfigError, CrossCheckFailed, EmptyFamily, ParseError,
-                     ZfLabError)
+from .errors import (CapExceeded, ConfigError, CrossCheckFailed, EmptyFamily, NotAPair,
+                     ParseError, ZfLabError)
 from .hfs import (
     DEFAULT_POWERSET_CAP,
     HfSet,
     hfs_literal,
+    is_member,
     iter_hfs_by_rank,
     make_set,
-    ordered_pair,
     parse_hfs,
+    unpair,
 )
 from .intervals import (
     Interval,
@@ -52,7 +55,7 @@ from .intervals import (
     phi2_holds,
     sample_check_pol,
 )
-from .orders import OrderKind, enumerate_orders
+from .orders import OrderKind, enumerate_orders, pointed_order
 
 __all__ = ["RunConfig", "execute", "load_family", "main"]
 
@@ -145,20 +148,23 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 @functools.cache
 def _induced_order_holds(a: HfSet, m: HfSet) -> bool:
-    """Does the order that choosing ``m`` from member ``a`` induces meet its
-    defining condition?  Both sides read a choice function only through its
-    value at ``a``, so a one-pair choice function stands for every choice
-    function that chooses ``m`` there, and the verdict is computed once per
+    """Does the order that choosing ``m`` from member ``a`` induces (Theorem
+    4) meet its defining condition?  False when ``m`` is not an element of
+    ``a``.  The verdict depends only on the pair, so it is computed once per
     (member, chosen element) per process, the order built as kernel sets."""
-    cf = ChoiceFunction(make_set((ordered_pair(a, m),)))
-    return phi3_holds(theorem4_order_from_choice(a, cf), a, cf)
+    return is_member(m, a) and phi3_holds(pointed_order(a, m), a, m)
 
 
-def _induced_orders_roundtrip(family: Family, fcs: tuple) -> bool:
-    """Does the order every choice function induces on every member meet
-    its defining condition?  Each distinct (member, chosen element) pair is
-    checked by :func:`_induced_order_holds`, once per process."""
-    return all(_induced_order_holds(a, cf(a)) for cf in fcs for a in family)
+def _induced_orders_roundtrip(fcs: tuple) -> bool:
+    """Does the order each choice function in ``fcs`` induces on each member
+    it chooses from meet its defining condition?  Each distinct pair
+    (member, chosen element) of the graphs is checked once; a graph element
+    that is not a pair fails the check."""
+    try:
+        pairs = dict.fromkeys(unpair(p) for graph in fcs for p in graph.children)
+    except NotAPair:
+        return False
+    return all(_induced_order_holds(a, m) for a, m in pairs)
 
 
 def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
@@ -182,13 +188,16 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
     if not verdict.agree:
         failures.append("choice existence and per-member orderability disagree")
 
+    if not pipeline.f_c_all_valid:
+        failures.append("a built graph is not a choice function on the family")
+
     checks = {}
     fcs = pipeline.fcs
     if variant is U2Variant.UNION_OF_PRODUCTS:
         # No cap check is lost by reading the verdict's graphs: each element
         # is the least of some order of every kind, so |Q_S| >= the number of
         # choice functions, and build_QS raised CapExceeded past the cap.
-        match = tuple(cf.graph for cf in fcs) == verdict.graphs
+        match = fcs == verdict.graphs
         checks["oracle_fc_match"] = match
         if not match:
             failures.append("pipeline choice functions differ from the oracle")
@@ -200,14 +209,14 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
     k = len(family.members) * len(family.union)
     if k <= 16:
         direct = build_Fc_literal(family, pipeline.qs, max(cfg.powerset_cap, k))
-        agree = [cf.graph for cf in direct] == [cf.graph for cf in fcs]
+        agree = direct == fcs
         checks["route_agreement"] = agree
         if not agree:
             failures.append("subset-filter route disagrees with the closed route")
     else:
         checks["route_agreement"] = None
 
-    roundtrip = _induced_orders_roundtrip(family, fcs)
+    roundtrip = _induced_orders_roundtrip(fcs)
     checks["induced_order_roundtrip"] = roundtrip
     if not roundtrip:
         failures.append("choice-induced order failed its defining condition")
@@ -232,7 +241,7 @@ def _enumerate(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
     report["q_s"] = {"size": len(qs), "relations": _SetLiterals(qs.literals())}
     report["f_c"] = {
         "size": len(fcs),
-        "graphs": [hfs_literal(cf.graph) for cf in fcs],
+        "graphs": [hfs_literal(g) for g in fcs],
     }
     report["oracle_choice_functions"] = [
         hfs_literal(g)
@@ -275,10 +284,10 @@ def _fuzz(cfg: RunConfig, report: dict, findings: list, failures: list) -> None:
         except CapExceeded:
             skipped += 1
             continue
-        if tuple(cf.graph for cf in fcs) != verdict.graphs:
+        if fcs != verdict.graphs:
             failures.append(f"trial {trial}: choice mismatch on {literal}")
             continue
-        if not _induced_orders_roundtrip(family, fcs):
+        if not _induced_orders_roundtrip(fcs):
             failures.append(f"trial {trial}: induced order failed on {literal}")
             continue
         checked += 1

@@ -10,6 +10,12 @@ of every member's restriction of each Q, and :func:`build_Fc_literal`
 separates F_c out of the powerset of A_S x A_U.  A run builds Q_S once and
 hands it to both.
 
+A choice function is its graph, the set of its pairs (A, x), and F_c is a
+canonically sorted tuple of such graphs, the shape the oracle returns, so
+the two are compared as they are.  :func:`is_choice_function` checks a
+graph against the family, and :func:`phi3_holds` checks the order that one
+chosen element induces on its member (Theorem 4).
+
 Q_S is held as per-member order picks (:class:`QSet`): each Q unions one
 transported order per member, and each order carries its least element, so
 F_c is the product of each member's distinct leasts.  No report builds the
@@ -85,13 +91,13 @@ from .hfs import (
     unpair,
     von_neumann,
 )
-from .orders import OrderKind, Relation, least_index, order_rows, pointed_order
+from .orders import OrderKind, Relation, least_index, order_rows
 
 __all__ = [
-    "ChoiceFunction", "DEFAULT_PRODUCT_CAP", "Family", "PipelineReport",
-    "QSet", "U2Variant", "build_Fc", "build_Fc_literal", "build_PA", "build_QS",
-    "build_U2_base", "build_universes", "choice_from_Q", "phi1_holds",
-    "phi3_holds", "restrict_Q", "run_pipeline", "theorem4_order_from_choice",
+    "DEFAULT_PRODUCT_CAP", "Family", "PipelineReport", "QSet", "U2Variant",
+    "build_Fc", "build_Fc_literal", "build_PA", "build_QS", "build_U2_base",
+    "build_universes", "choice_from_Q", "is_choice_function", "phi1_holds",
+    "phi3_holds", "restrict_Q", "run_pipeline",
 ]
 
 DEFAULT_PRODUCT_CAP = 10**6
@@ -137,45 +143,6 @@ class Family:
 
     def __repr__(self):
         return f"Family({self.members!r})"
-
-
-class ChoiceFunction:
-    """A function graph assigning to each member one of its own elements."""
-
-    __slots__ = ("graph", "_mapping")
-
-    def __init__(self, graph: HfSet):
-        mapping = {}
-        for p in graph.children:
-            try:
-                a, x = unpair(p)
-            except NotAPair:
-                raise ValueError(f"graph element {p!r} is not a pair") from None
-            if a in mapping:
-                raise ValueError(f"two pairs for member {a!r}")
-            if not is_member(x, a):
-                raise ValueError(f"chosen element {x!r} is outside {a!r}")
-            mapping[a] = x
-        self.graph = graph
-        self._mapping = mapping
-
-    def __call__(self, a: HfSet) -> HfSet:
-        return self._mapping[a]
-
-    def is_valid_for(self, family: Family) -> bool:
-        """Exactly one selection for each family member, nothing else."""
-        return set(self._mapping) == set(family.members.children)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChoiceFunction):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self):
-        return hash(self.graph)
-
-    def __repr__(self):
-        return f"ChoiceFunction({self.graph!r})"
 
 
 def build_PA(a: HfSet) -> HfSet:
@@ -541,8 +508,8 @@ def restrict_Q(q: HfSet, a: HfSet) -> HfSet:
     return make_set(kept)
 
 
-def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
-    """Extract the choice function of a combined relation.
+def choice_from_Q(q: HfSet, family: Family) -> HfSet:
+    """The graph of the choice function of a combined relation.
 
     For each member the unique element whose tagged pairs to all of the
     member sit in ``q`` is selected; NoLeast if no member element (or more
@@ -562,12 +529,12 @@ def choice_from_Q(q: HfSet, family: Family) -> ChoiceFunction:
                 f"{len(winners)} least candidates for member {a!r}"
             )
         graph.append(ordered_pair(a, winners[0]))
-    return ChoiceFunction(make_set(graph))
+    return make_set(graph)
 
 
 def build_Fc(family: Family, qs: QSet) -> tuple:
     """The choice functions of the combined relations in ``qs``, taken by
-    least elements and canonically ordered.
+    least elements: their graphs, canonically ordered.
 
     A Q chooses, for each member, the least element of the order it picks
     there, so F_c is the product of each member's distinct leasts.
@@ -577,7 +544,7 @@ def build_Fc(family: Family, qs: QSet) -> tuple:
         for a, member_picks in zip(family.members.children, qs.picks)
     ]
     graphs = [make_set(chosen) for chosen in itertools.product(*tagged)]
-    return tuple(ChoiceFunction(g) for g in sorted(graphs, key=canonical_key))
+    return tuple(sorted(graphs, key=canonical_key))
 
 
 def build_Fc_literal(family: Family, qs: QSet,
@@ -606,20 +573,27 @@ def build_Fc_literal(family: Family, qs: QSet,
         present = sum(combo)  # the pairs of one Q, as union-base bits
         valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
 
-    found = [ChoiceFunction(make_set(candidates[i] for i in range(k) if mask >> i & 1))
+    found = [make_set(candidates[i] for i in range(k) if mask >> i & 1)
              for mask in range(1 << k) if mask in valid_masks]
-    return tuple(sorted(found, key=lambda cf: canonical_key(cf.graph)))
+    return tuple(sorted(found, key=canonical_key))
 
 
-def theorem4_order_from_choice(a: HfSet, f: ChoiceFunction) -> Relation:
-    """The order a choice function induces on one member: the chosen element
-    below everything, all else incomparable."""
-    return pointed_order(a, f(a))
+def is_choice_function(graph: HfSet, family: Family) -> bool:
+    """Is ``graph`` a choice function on ``family``: pairs (A, x), each
+    member A of the family once, x an element of A, and nothing else?"""
+    try:
+        pairs = [unpair(p) for p in graph.children]
+    except NotAPair:
+        return False
+    # Sorted, the pairs' first components are the members exactly when each
+    # member occurs once and nothing else does.
+    return (sorted(a for a, _ in pairs) == list(family.members.children)
+            and all(is_member(x, a) for a, x in pairs))
 
 
-def phi3_holds(r: Relation, a: HfSet, f: ChoiceFunction) -> bool:
-    """Is ``r`` exactly the identity plus rows from the chosen element?"""
-    m = f(a)
+def phi3_holds(r: Relation, a: HfSet, m: HfSet) -> bool:
+    """Is ``r`` exactly the identity on ``a`` plus the row of the chosen
+    element ``m``?"""
     index = {e: i for i, e in enumerate(r.elements)}
     if r.carrier != a:
         return False
@@ -691,7 +665,7 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
     qs = build_QS(family, variant, kind, powerset_cap, product_cap)
     fcs = build_Fc(family, qs)
     witnesses = {
-        "choice_functions": [hfs_literal(cf.graph) for cf in fcs[:3]],
+        "choice_functions": [hfs_literal(g) for g in fcs[:3]],
         "combined_relations": [hfs_literal(_first_q(qs))] if len(qs) else [],
     }
     return PipelineReport(
@@ -704,7 +678,7 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
         qs_size=len(qs),
         fc_size=len(fcs),
         q_s_empty=len(qs) == 0,
-        f_c_all_valid=all(cf.is_valid_for(family) for cf in fcs),
+        f_c_all_valid=all(is_choice_function(g, family) for g in fcs),
         witnesses=witnesses,
         qs=qs,
         fcs=fcs,

@@ -16,7 +16,6 @@ from helpers import (MEMOS, SUBSETS4, SUBSETS4_UP_TO_3, UNIVERSE4, cold_caches, 
 from zflab import cli, construction, hfs, oracle, orders
 from zflab.errors import CapExceeded, EmptyFamily, NoLeast
 from zflab.construction import (
-    ChoiceFunction,
     Family,
     U2Variant,
     build_Fc,
@@ -28,11 +27,11 @@ from zflab.construction import (
     _u1_size,
     _u2_sizes,
     choice_from_Q,
+    is_choice_function,
     phi1_holds,
     phi3_holds,
     restrict_Q,
     run_pipeline,
-    theorem4_order_from_choice,
 )
 from zflab.formula import parse_formula, separation
 from zflab.hfs import (
@@ -296,7 +295,7 @@ def test_restrict_q_keeps_one_members_pairs():
 
 def test_choice_from_q_extracts_the_least():
     qs = build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
-    graphs = {hfs_literal(choice_from_Q(q, RUNNING).graph) for q in qs.children}
+    graphs = {hfs_literal(choice_from_Q(q, RUNNING)) for q in qs.children}
     assert len(graphs) == 2
 
 
@@ -311,26 +310,27 @@ def test_choice_from_q_needs_a_least():
 
 
 def test_choice_function_validation():
-    good = ChoiceFunction(make_set((ordered_pair(TWO, EMPTY),)))
-    assert good(TWO) is EMPTY
-    assert good.is_valid_for(Family.of([TWO]))
-    assert not good.is_valid_for(RUNNING)
-    with pytest.raises(ValueError):
-        ChoiceFunction(make_set((ordered_pair(TWO, S2),)))  # S2 not in TWO
-    with pytest.raises(ValueError):
-        ChoiceFunction(make_set((EMPTY,)))  # not a pair
-    with pytest.raises(ValueError):
-        ChoiceFunction(make_set((
-            ordered_pair(TWO, EMPTY), ordered_pair(TWO, ONE),
-        )))
+    good = make_set((ordered_pair(ONE, EMPTY), ordered_pair(TWO, ONE)))
+    assert is_choice_function(good, RUNNING)
+    assert is_choice_function(make_set((ordered_pair(TWO, EMPTY),)), Family.of([TWO]))
+    bad = {
+        "not a pair": (ordered_pair(ONE, EMPTY), ordered_pair(TWO, ONE), EMPTY),
+        "chosen outside its member": (ordered_pair(ONE, EMPTY), ordered_pair(TWO, S2)),
+        "two pairs for one member": (ordered_pair(ONE, EMPTY), ordered_pair(TWO, EMPTY),
+                                     ordered_pair(TWO, ONE)),
+        "a member missing": (ordered_pair(TWO, ONE),),
+        "a pair for a non-member": (ordered_pair(ONE, EMPTY), ordered_pair(TWO, ONE),
+                                    ordered_pair(S2, S1)),
+    }
+    assert {name: is_choice_function(make_set(pairs), RUNNING)
+            for name, pairs in bad.items()} == dict.fromkeys(bad, False)
 
 
 def test_build_fc_matches_oracle_on_running_example():
     for kind in OrderKind:
         fcs = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind))
-        got = tuple(cf.graph for cf in fcs)
-        assert got == oracle.enumerate_choice_functions(RUNNING)
-        assert all(cf.is_valid_for(RUNNING) for cf in fcs)
+        assert fcs == oracle.enumerate_choice_functions(RUNNING)
+        assert all(is_choice_function(g, RUNNING) for g in fcs)
 
 
 def test_build_fc_literal_route_agrees():
@@ -338,7 +338,7 @@ def test_build_fc_literal_route_agrees():
         qs = build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS, kind)
         direct = build_Fc_literal(RUNNING, qs)
         closed = build_Fc(RUNNING, qs)
-        assert [cf.graph for cf in direct] == [cf.graph for cf in closed]
+        assert direct == closed
 
 
 def test_build_fc_literal_cap():
@@ -389,9 +389,9 @@ def test_fc_selection_formula_evaluated_literally(fam, kind):
     got_qs = separation(build_U2_base(fam, U2Variant.UNION_OF_PRODUCTS), "q", QS_PHI, env)
     assert got_qs.children == qs.children
 
-    expected = [cf.graph for cf in build_Fc(fam, qs)]
+    expected = list(build_Fc(fam, qs))
     assert list(formula_fc(fam, got_qs)) == expected
-    assert [cf.graph for cf in build_Fc_literal(fam, qs)] == expected
+    assert list(build_Fc_literal(fam, qs)) == expected
 
     # The selection in one step, over every candidate, with m ranging over
     # the whole union.
@@ -407,34 +407,34 @@ def test_fc_selection_formula_evaluated_literally(fam, kind):
 def test_theorem4_order_is_pol_with_chosen_least():
     fcs = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS,
                                      OrderKind.WELL_ORDER))
-    for cf in fcs:
-        for a in RUNNING:
-            r = theorem4_order_from_choice(a, cf)
+    for graph in fcs:
+        for a, m in map(unpair, graph.children):
+            r = pointed_order(a, m)
             assert satisfies(r, OrderKind.PARTIAL_ORDER_WITH_LEAST)
-            assert phi3_holds(r, a, cf)
+            assert phi3_holds(r, a, m)
 
 
 def test_one_theorem4_order():
-    # The formula route, the choice route and pointed_order give one order.
+    # The formula route and pointed_order give one order, and it is the
+    # order phi3 defines for the chosen element.
     carriers = [ONE, make_set((E, S1)), make_set((E, S1, S2)), make_set(UNIVERSE4)]
     for a in carriers:
         for m in a.children:
             r = pointed_order(a, m)
-            cf = ChoiceFunction(make_set((ordered_pair(a, m),)))
             assert order_from_formula(a, parse_formula(f"x = {hfs_literal(m)}")) == r
-            assert theorem4_order_from_choice(a, cf) == r
-            assert phi3_holds(r, a, cf)
+            assert phi3_holds(r, a, m)
             assert satisfies(r, OrderKind.PARTIAL_ORDER_WITH_LEAST)
 
 
 def test_phi3_rejects_other_relations():
-    cf = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS,
-                                    OrderKind.WELL_ORDER))[0]
-    r = theorem4_order_from_choice(TWO, cf)
+    graph = build_Fc(RUNNING, build_QS(RUNNING, U2Variant.UNION_OF_PRODUCTS,
+                                       OrderKind.WELL_ORDER))[0]
+    m = dict(map(unpair, graph.children))[TWO]
+    r = pointed_order(TWO, m)
     other = enumerate_orders(TWO, OrderKind.UNIQUE_UNIVERSAL)
     mismatches = [q for q in other if q != r]
     assert mismatches
-    assert not any(phi3_holds(q, TWO, cf) for q in mismatches)
+    assert not any(phi3_holds(q, TWO, m) for q in mismatches)
 
 
 def test_run_pipeline_report_shape():
@@ -668,8 +668,8 @@ def test_picks_route_equals_the_materialized_q_s(members, kind):
     witnesses = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, kind).witnesses
     # The sizes, F_c and the witness come from the picks, before any Q is built.
     assert len(qs) == len(expected)
-    graphs = {choice_from_Q(q, fam).graph for q in expected.children}
-    assert [cf.graph for cf in fcs] == sorted(graphs)
+    graphs = {choice_from_Q(q, fam) for q in expected.children}
+    assert list(fcs) == sorted(graphs)
     assert witnesses["combined_relations"] == [hfs_literal(q) for q in expected.children[:1]]
     assert qs.children == expected.children
     assert qs == expected

@@ -16,6 +16,10 @@ runs inside ``helpers.cold_caches``, which also clears what the break left.
 The Theorem-4 roundtrip keeps one verdict per (member, chosen element), so a
 broken induced order shows only to a cold memo; the memo's verdicts equal
 the direct route's, clean and broken alike.
+
+A built F_c graph that is not a choice function on the family (a member left
+out, an element chosen from outside its member, a non-pair) fails ``verify``
+with exit 1 and a JSON report, as a failed property, never a traceback.
 """
 
 import contextlib
@@ -31,9 +35,9 @@ from hypothesis import example, given, settings, strategies as st
 import zflab
 from helpers import DISJOINT4, SUBSETS4, SUBSETS4_UP_TO_3, cold_caches, formula_fc
 from zflab import cli, construction, oracle, orders
-from zflab.construction import Family, U2Variant, phi3_holds, theorem4_order_from_choice
+from zflab.construction import Family, U2Variant, phi3_holds
 from zflab.errors import CrossCheckFailed
-from zflab.hfs import EMPTY, cartesian, make_set, ordered_pair
+from zflab.hfs import EMPTY, cartesian, make_set, ordered_pair, unpair
 from zflab.orders import OrderKind
 
 ONE = make_set((EMPTY,))
@@ -296,7 +300,7 @@ def formula_route_outcome() -> list:
     def agree():
         qs = build_running_qs()
         fcs = construction.build_Fc(RUNNING, qs)
-        return list(formula_fc(RUNNING, qs)) == [cf.graph for cf in fcs]
+        return list(formula_fc(RUNNING, qs)) == list(fcs)
 
     clean = agree()
     with break_recorded_least():
@@ -388,8 +392,8 @@ def test_verify_fails_on_orders_laid_column_major(tmp_path):
 def break_induced_order():
     # The Theorem-4 order loses the pair (m, b), b the first element of the
     # member other than the chosen m, so m is no longer below b; on a
-    # singleton member it stays whole.  theorem4_order_from_choice reads
-    # construction's name for pointed_order, so that name is patched.
+    # singleton member it stays whole.  The roundtrip reads the CLI's name
+    # for pointed_order, so that name is patched.
     real = orders.pointed_order
 
     def pointed_order(a, m):
@@ -400,7 +404,7 @@ def break_induced_order():
         dropped = ordered_pair(m, b)
         return orders.relation_over(a, make_set(p for p in r.pairs.children if p != dropped))
 
-    return patched(construction, "pointed_order", pointed_order)
+    return patched(cli, "pointed_order", pointed_order)
 
 
 def induced_order_outcomes(family_path: str) -> list:
@@ -438,8 +442,8 @@ def test_a_broken_induced_order_fails_verify_and_fuzz(tmp_path):
     assert got == EXPECTED_INDUCED
 
 
-def direct_verdict(a, cf) -> bool:
-    return phi3_holds(theorem4_order_from_choice(a, cf), a, cf)
+def direct_verdict(a, m) -> bool:
+    return phi3_holds(cli.pointed_order(a, m), a, m)
 
 
 def fc_of(family) -> tuple:
@@ -450,12 +454,13 @@ def fc_of(family) -> tuple:
 def test_the_memo_gives_the_direct_verdict_cold_and_warm(broken):
     # Each element of a member is the least of one of its well-orders, so
     # the member's own F_c chooses each element once.
-    choices = [(a, cf) for a in SUBSETS4 for cf in fc_of(Family.of([a]))]
+    choices = [unpair(p) for a in SUBSETS4 for graph in fc_of(Family.of([a]))
+               for p in graph.children]
     assert len(choices) == 32
     with cold_caches(), (break_induced_order() if broken else contextlib.nullcontext()):
-        direct = [direct_verdict(a, cf) for a, cf in choices]
-        cold = [cli._induced_order_holds(a, cf(a)) for a, cf in choices]
-        warm = [cli._induced_order_holds(a, cf(a)) for a, cf in choices]
+        direct = [direct_verdict(a, m) for a, m in choices]
+        cold = [cli._induced_order_holds(a, m) for a, m in choices]
+        warm = [cli._induced_order_holds(a, m) for a, m in choices]
         info = cli._induced_order_holds.cache_info()
     assert cold == warm == direct
     assert (info.misses, info.hits) == (32, 32)
@@ -464,8 +469,9 @@ def test_the_memo_gives_the_direct_verdict_cold_and_warm(broken):
 
 
 def old_roundtrip(family, fcs) -> bool:
-    # One check per choice function and member, with no memo.
-    return all(direct_verdict(a, cf) for cf in fcs for a in family)
+    # One check per graph and member of the family, with no memo.
+    return all(direct_verdict(a, dict(map(unpair, graph.children))[a])
+               for graph in fcs for a in family)
 
 
 @settings(max_examples=25, deadline=None)
@@ -476,6 +482,74 @@ def test_the_memoized_roundtrip_equals_the_loop_it_replaces(members, broken):
     family = Family.of(members)
     fcs = fc_of(family)
     with cold_caches(), (break_induced_order() if broken else contextlib.nullcontext()):
-        for cf in fcs:
-            assert cli._induced_orders_roundtrip(family, (cf,)) == old_roundtrip(family, (cf,))
-        assert cli._induced_orders_roundtrip(family, fcs) == old_roundtrip(family, fcs)
+        for graph in fcs:
+            assert cli._induced_orders_roundtrip((graph,)) == old_roundtrip(family, (graph,))
+        assert cli._induced_orders_roundtrip(fcs) == old_roundtrip(family, fcs)
+
+
+def test_the_roundtrip_checks_each_distinct_pair_once(tmp_path):
+    # The running family's two graphs choose {} from {{}} in both, and each
+    # element of {{},{{}}} in one: three distinct pairs, four (graph, member).
+    pairs = {unpair(p) for graph in fc_of(RUNNING) for p in graph.children}
+    assert len(pairs) == 3
+    with cold_caches():
+        cli.execute(cli.RunConfig(command="verify", family=write_running(tmp_path)))
+        info = cli._induced_order_holds.cache_info()
+    assert (info.hits, info.misses) == (0, len(pairs))
+
+
+# --- F_c graphs that are not choice functions -------------------------------------
+
+# Each turns one of build_Fc's graphs into a set that is not a choice
+# function on the running family {{{}}, {{},{{}}}}.
+FC_CORRUPTIONS = {
+    # {{}} loses its pair.
+    "member_dropped": lambda graph: make_set(p for p in graph.children if unpair(p)[0] != ONE),
+    # {{}} chooses itself, never one of its own elements.
+    "chosen_outside": lambda graph: make_set(
+        ordered_pair(a, a if a == ONE else m) for a, m in map(unpair, graph.children)),
+    "not_a_pair": lambda graph: make_set(graph.children + (EMPTY,)),
+}
+
+
+def corrupted_fc_outcomes(family_path: str) -> dict:
+    """``verify`` on the running family with every graph of ``build_Fc``
+    corrupted each way, memos cold: exit status, ``f_c_all_valid``, the
+    cross-checks and the failures."""
+    real = construction.build_Fc
+    out = {}
+    for name, corrupt in FC_CORRUPTIONS.items():
+        def build_Fc(family, qs):
+            return tuple(corrupt(graph) for graph in real(family, qs))
+
+        with cold_caches(), patched(construction, "build_Fc", build_Fc):
+            status, rendered = cli.execute(cli.RunConfig(command="verify", family=family_path))
+        report = json.loads(rendered)
+        out[name] = [status, report["pipeline"]["f_c_all_valid"], report["cross_checks"],
+                     report["failures"]]
+    return out
+
+
+FC_FAILURES = ["a built graph is not a choice function on the family",
+               "pipeline choice functions differ from the oracle",
+               "subset-filter route disagrees with the closed route"]
+ROUNDTRIP_FAILURE = "choice-induced order failed its defining condition"
+EXPECTED_CORRUPTED_FC = {
+    "member_dropped": [1, False, {"oracle_fc_match": False, "route_agreement": False,
+                                  "induced_order_roundtrip": True}, FC_FAILURES],
+    "chosen_outside": [1, False, {"oracle_fc_match": False, "route_agreement": False,
+                                  "induced_order_roundtrip": False},
+                       FC_FAILURES + [ROUNDTRIP_FAILURE]],
+    "not_a_pair": [1, False, {"oracle_fc_match": False, "route_agreement": False,
+                              "induced_order_roundtrip": False},
+                   FC_FAILURES + [ROUNDTRIP_FAILURE]],
+}
+
+
+def test_a_graph_that_is_not_a_choice_function_fails_verify(tmp_path):
+    family_path = write_running(tmp_path)
+    assert corrupted_fc_outcomes(family_path) == EXPECTED_CORRUPTED_FC
+    debug, got = python_O(tmp_path, "[__debug__, t.corrupted_fc_outcomes(sys.argv[1])]",
+                          family_path)
+    assert debug is False
+    assert got == EXPECTED_CORRUPTED_FC
