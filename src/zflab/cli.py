@@ -457,8 +457,9 @@ def _render(report: dict, fmt: str) -> str:
 
 
 class _SetLiterals(list):
-    """A list of set literals.  A literal holds only '{', '}' and ',', so it
-    is its own JSON string body, and the renderer writes it unescaped."""
+    """A list of set literals, each held without its outer braces, which
+    the writers emit.  A literal holds only '{', '}' and ',', so it is its
+    own JSON string body, and the JSON writer writes it unescaped."""
 
 
 def _json_chunks(value, pad: str, chunks: list) -> None:
@@ -478,7 +479,7 @@ def _json_chunks(value, pad: str, chunks: list) -> None:
         for item in value:
             chunks.append(sep + inner)
             if isinstance(value, _SetLiterals):
-                chunks += ('"', item, '"')
+                chunks += ('"{', item, '}"')
             else:
                 _json_chunks(item, inner, chunks)
             sep = ",\n"
@@ -497,6 +498,8 @@ def _text_lines(value, depth: int) -> list:
                 lines.extend(_text_lines(item, depth + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(item)}")
+    elif isinstance(value, _SetLiterals):
+        lines.extend(f"{pad}- {{{item}}}" for item in value)
     elif isinstance(value, list):
         for item in value:
             if isinstance(item, (dict, list)) and item:

@@ -19,8 +19,9 @@ chosen element induces on its member (Theorem 4).
 Q_S is held as per-member order picks (:class:`QSet`): each Q unions one
 transported order per member, and each order carries its least element, so
 F_c is the product of each member's distinct leasts.  No report builds the
-Q's as sets: ``enumerate`` prints them from the picks' positions
-(:meth:`QSet.literals`), and a report's one witness Q is built alone.
+Q's as sets: ``enumerate`` prints them from their masks over the union of
+the members' pairs (:meth:`QSet.literals`), and a report's one witness Q is
+built alone.
 
 The candidate universe U2 is deliberately built in two inequivalent ways:
 
@@ -78,11 +79,11 @@ from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, NoLeast, NotAPai
 from .hfs import (
     DEFAULT_POWERSET_CAP,
     HfSet,
-    canonical_key,
     cartesian,
     hfs_literal,
     is_member,
     make_set,
+    mask_selector,
     ordered_pair,
     powerset,
     subset_order,
@@ -278,31 +279,32 @@ def _cells(a: HfSet) -> tuple:
     return tuple(ordered_pair(x, y) for x in tag for y in tag)
 
 
+def _over(base: HfSet, cells: tuple, masks: Iterable) -> list:
+    """Each mask over ``cells``, in the bit layout above, as a mask over
+    ``base`` (:func:`subset_order`'s masks: the first child of ``base`` is
+    the most significant bit).  Every cell must be a child of ``base``."""
+    n = len(base)
+    bit = {p: 1 << (n - 1 - i) for i, p in enumerate(base.children)}
+    return [sum(bit[cells[b]] for b in _bits(mask)) for mask in masks]
+
+
 @functools.cache
 def _picks(n: int, kind: OrderKind) -> tuple:
     """Per order of ``kind`` over n indices with a least element (the choice
     extraction needs one; on nonempty carriers every order has it), its
-    (mask, least index), in the canonical order of its lifted sets.
+    (mask, least index), in the canonical order of its lifted sets: the
+    :func:`subset_order` of their masks over the member's sorted cells.
 
     That order is the same for every n-element member: the tags (A,x) sort
     as the x do, so every member's cells sort by one permutation of the
     bits.  It is read off the first n naturals.
     """
     cells = _cells(von_neumann(n))
-    place = {p: r for r, p in enumerate(sorted(cells))}  # canonical rank
-
-    # A member's nonempty lifted sets share one rank, so they sort by size,
-    # then by their pairs in canonical order.
-    def canonical(pick):
-        lifted = sorted(place[cells[b]] for b in _bits(pick[0]))
-        return len(lifted), lifted
-
-    picks = []
-    for rows in order_rows(n, kind):
-        least = least_index(rows, kind)
-        if least is not None:
-            picks.append((_rows_mask(rows), least))
-    return tuple(sorted(picks, key=canonical))
+    base = make_set(cells)
+    picks = [(_rows_mask(rows), least_index(rows, kind)) for rows in order_rows(n, kind)]
+    picks = [pick for pick in picks if pick[1] is not None]
+    by_mask = dict(zip(_over(base, cells, (mask for mask, _ in picks)), picks))
+    return tuple(map(by_mask.get, subset_order(base, by_mask)))
 
 
 @functools.cache
@@ -345,12 +347,13 @@ class QSet:
     ``picks`` holds, per member of ``members`` (canonical order), the (mask,
     least index) of each order the member may contribute; Q_S is every
     union of one pick per member, so ``len`` is the product of the pick
-    counts.  Every Q is a subset of the union of the members' cells, so
-    each pick becomes a tuple of positions in that base once, and each Q is
-    its merged positions, in :func:`subset_order`.  ``children`` builds the
-    Q's from them as sets, on first read; :meth:`literals` joins the base
-    pairs' literals instead and builds no Q.  Equality is equality of the
-    sets of Q's, so it builds them.
+    counts.  Every Q is a subset of the union base, the union of the
+    members' cells, so each pick becomes a mask over that base once; the
+    members' pairs are disjoint, so a Q's mask is the sum of its picks'
+    masks.  The Q's come in :func:`subset_order` of their masks.
+    ``children`` builds them as sets, on first read; :meth:`literals`
+    selects the base pairs' literals instead and builds no Q.  Equality is
+    equality of the sets of Q's, so it builds them.
     """
 
     __slots__ = ("members", "picks", "_set")
@@ -363,32 +366,30 @@ class QSet:
     def __len__(self) -> int:
         return math.prod(len(member_picks) for member_picks in self.picks)
 
-    def _positions(self) -> tuple:
-        """The union base, and each Q as a tuple of positions in it."""
+    def _masks(self) -> tuple:
+        """The union base, and each Q as a mask over it."""
         cells = [_cells(a) for a in self.members]
         base = make_set(itertools.chain.from_iterable(cells))
-        position = {p: i for i, p in enumerate(base.children)}
-        indexed = [
-            [sorted(position[member_cells[b]] for b in _bits(mask)) for mask, _ in member_picks]
-            for member_cells, member_picks in zip(cells, self.picks)
-        ]
-        # Members' pairs are disjoint, so each Q's merged positions are
-        # distinct; each pick's are increasing, so sorting merges runs.
-        return base, (tuple(sorted(itertools.chain.from_iterable(combo)))
-                      for combo in itertools.product(*indexed))
+        masks = [0]
+        for member_cells, member_picks in zip(cells, self.picks):
+            picked = _over(base, member_cells, (mask for mask, _ in member_picks))
+            masks = [q + m for q in masks for m in picked]
+        return base, masks
 
     @property
     def children(self) -> tuple:
         if self._set is None:
-            self._set = subsets_of(*self._positions())
+            self._set = subsets_of(*self._masks())
         return self._set.children
 
     def literals(self) -> list:
-        """Each Q's literal, in the order of :attr:`children`."""
-        base, positions = self._positions()
+        """Each Q's literal without its outer braces, in the order of
+        :attr:`children`: the literals of its pairs, comma-joined."""
+        base, masks = self._masks()
         text = [hfs_literal(p) for p in base.children]
-        return ["{" + ",".join(map(text.__getitem__, s)) + "}"
-                for s in subset_order(base, positions)]
+        n = len(text)
+        return [",".join(itertools.compress(text, mask_selector(m, n)))
+                for m in subset_order(base, masks)]
 
     def __eq__(self, other):
         if not isinstance(other, (QSet, HfSet)):
@@ -537,14 +538,19 @@ def build_Fc(family: Family, qs: QSet) -> tuple:
     least elements: their graphs, canonically ordered.
 
     A Q chooses, for each member, the least element of the order it picks
-    there, so F_c is the product of each member's distinct leasts.
+    there, so F_c is the product of each member's distinct leasts.  The
+    product comes out in canonical order, unsorted: a pair (A, x) compares
+    by A, then by x, so each member's tagged pairs are contiguous, the
+    members' blocks follow the members' order and x orders within a block.
+    A graph holds one pair per member, so graphs compare as the tuples of
+    their chosen elements, and each member's leasts are taken in element
+    order.
     """
     tagged = [
-        [ordered_pair(a, a.children[i]) for i in dict.fromkeys(least for _, least in member_picks)]
+        [ordered_pair(a, a.children[i]) for i in sorted({least for _, least in member_picks})]
         for a, member_picks in zip(family.members.children, qs.picks)
     ]
-    graphs = [make_set(chosen) for chosen in itertools.product(*tagged)]
-    return tuple(sorted(graphs, key=canonical_key))
+    return tuple(make_set(chosen) for chosen in itertools.product(*tagged))
 
 
 def build_Fc_literal(family: Family, qs: QSet,
@@ -553,18 +559,20 @@ def build_Fc_literal(family: Family, qs: QSet,
 
     Every subset of A_S x A_U is tested: it belongs iff some combined
     relation Q in ``qs`` makes the subset's pairs exactly the tagged-least
-    pairs of Q.  Must coincide with :func:`build_Fc` on the same ``qs``;
-    exponential in |A_S| * |A_U|.
+    pairs of Q.  A subset is a mask over A_S x A_U, its first pair the most
+    significant bit, so the graphs come in :func:`subset_order`.  Must
+    coincide with :func:`build_Fc` on the same ``qs``; exponential in
+    |A_S| * |A_U|.
     """
-    candidates = cartesian(family.members, family.union).children
+    candidates = cartesian(family.members, family.union)
     k = len(candidates)
     if k > powerset_cap:
         raise CapExceeded(f"separation over {k} candidate pairs exceeds cap {powerset_cap}")
-    bit_of = {unpair(p): i for i, p in enumerate(candidates)}
+    bit_of = {unpair(p): 1 << (k - 1 - i) for i, p in enumerate(candidates.children)}
     # Per (A, m) with m in A (no Q in Q_S holds ((A,m),(A,b)) for m outside
     # A): its candidate bit, and row m of A's square as union-base bits.
     tests = [
-        (1 << bit_of[a, m], ((1 << len(a)) - 1) << (offset + i * len(a)))
+        (bit_of[a, m], ((1 << len(a)) - 1) << (offset + i * len(a)))
         for offset, a in zip(_offsets(family.members.children), family.members.children)
         for i, m in enumerate(a.children)
     ]
@@ -572,10 +580,7 @@ def build_Fc_literal(family: Family, qs: QSet,
     for combo in itertools.product(*_union_masks(qs)):
         present = sum(combo)  # the pairs of one Q, as union-base bits
         valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
-
-    found = [make_set(candidates[i] for i in range(k) if mask >> i & 1)
-             for mask in range(1 << k) if mask in valid_masks]
-    return tuple(sorted(found, key=canonical_key))
+    return subsets_of(candidates, [mask for mask in range(1 << k) if mask in valid_masks]).children
 
 
 def is_choice_function(graph: HfSet, family: Family) -> bool:

@@ -23,13 +23,22 @@ many sets (a tagged pair inside every relation of Q_S, say) is printed once
 per process however often it is reached.
 
 Subsets of one base are ordered without comparing canonical keys
-(:func:`subset_order`, which :func:`subsets_of` builds from).  Subsets of a
-canonically sorted base compare first by rank, then by size, then
-lexicographically on their children; position order on the base is
-canonical order, so comparing children lexicographically is comparing their
-positions lexicographically, and a subset's rank is one more than the rank
-of its last child.  Ordering by the integer key (1 + rank of the last
-picked child, size, positions) is thus canonical order.
+(:func:`subset_order`, which :func:`subsets_of` builds from).  A subset of
+an n-element base is an n-bit mask over its children, the first child the
+most significant bit.  Subsets of a canonically sorted base compare first
+by rank, then by size, then lexicographically on their children; position
+order on the base is canonical order, and a subset's rank is one more than
+the rank of its last child, the child of its lowest set bit.  For equal
+rank and size, lexicographic order on children is mask order, reversed:
+
+    Lemma.  Let S and T be distinct subsets of equal size, and p the
+    smallest position in exactly one of them.  Below p they pick the same
+    children, so their sorted children first differ at the child of p, and
+    the subset holding p is canonically first.  Position p is the highest
+    differing bit, so that subset has the larger mask.
+
+Ordering by the integer key (1 + rank of the last picked child, size,
+-mask), with (0, 0, 0) for the empty set, is thus canonical order.
 
 The literal grammar is ``set := '{' (set (',' set)*)? '}'`` with insignificant
 whitespace, nested at most ``MAX_LITERAL_DEPTH`` braces deep.  The empty set
@@ -58,6 +67,7 @@ __all__ = [
     "is_member",
     "iter_hfs_by_rank",
     "make_set",
+    "mask_selector",
     "ordered_pair",
     "parse_hfs",
     "powerset",
@@ -228,41 +238,48 @@ def union_family(s: HfSet) -> HfSet:
     return make_set(x for child in s.children for x in child.children)
 
 
-def subset_order(base: HfSet, index_sets: Iterable[tuple]) -> list:
-    """The distinct index sets, in the canonical order of the subsets of
-    ``base`` they pick.
+def subset_order(base: HfSet, masks: Iterable[int]) -> list:
+    """The distinct masks, in the canonical order of the subsets of ``base``
+    they pick.
 
-    Each index set is a strictly increasing tuple of positions in
-    ``base.children``.  They are ordered by the integer key (1 + rank of
-    the last position, size, positions), never by comparing canonical keys
+    Each mask is an n-bit mask over ``base.children``, the first child the
+    most significant bit.  They are ordered by the integer key (1 + rank of
+    the last picked child, size, -mask), never by comparing canonical keys
     (see the module docstring).
     """
-    children = base.children
-    keys = {(1 + children[s[-1]].rank, len(s), s) if s else (0, 0, s) for s in index_sets}
-    return [s for _, _, s in sorted(keys)]
+    n = len(base.children)
+    # The lowest set bit of a nonempty mask picks its last child.
+    last_rank = {1 << (n - 1 - i): 1 + c.rank for i, c in enumerate(base.children)}
+    keys = {(last_rank[m & -m], m.bit_count(), -m) if m else (0, 0, 0) for m in masks}
+    return [-m for _, _, m in sorted(keys)]
 
 
-def _checked(index_sets: Iterable[tuple], n: int) -> Iterator[tuple]:
-    for s in index_sets:
-        if s and not (0 <= s[0] and s[-1] < n and all(map(operator.lt, s, s[1:]))):
-            raise ValueError(f"{s!r} is not a strictly increasing tuple of "
-                             f"positions below {n}")
-        yield s
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def subsets_of(base: HfSet, index_sets: Iterable[tuple]) -> HfSet:
-    """The set of the subsets of ``base`` picked by ``index_sets``.
+def mask_selector(mask: int, n: int) -> bytes:
+    """One byte per child of an n-element base, 1 where ``mask`` picks it and
+    0 elsewhere, first child first: a selector for ``itertools.compress``."""
+    return format(mask, "b").zfill(n).encode().translate(_BIT_BYTES)
 
-    Each index set is a strictly increasing tuple of positions in
-    ``base.children``; equal index sets give one subset.  The subsets come
-    in :func:`subset_order`.  ValueError if an index set repeats a
-    position, descends, or leaves ``range(len(base))``.
+
+def subsets_of(base: HfSet, masks: Iterable[int]) -> HfSet:
+    """The set of the subsets of ``base`` picked by ``masks``.
+
+    Each mask is an n-bit mask over ``base.children``, the first child the
+    most significant bit; equal masks give one subset.  The subsets come in
+    :func:`subset_order`.  ValueError if a mask is not an int, is negative
+    or is at least ``1 << len(base)``.
     """
     children = base.children
+    n = len(children)
+    masks = list(masks)
+    bad = [m for m in masks if not (isinstance(m, int) and 0 <= m < 1 << n)]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not a mask of {n} bits")
     # A subsequence of a sorted tuple is sorted.
-    pick = children.__getitem__
-    return _node(tuple(_node(tuple(map(pick, s)))
-                       for s in subset_order(base, _checked(index_sets, len(children)))))
+    return _node(tuple(_node(tuple(itertools.compress(children, mask_selector(m, n))))
+                       for m in subset_order(base, masks)))
 
 
 def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
@@ -273,8 +290,7 @@ def powerset(a: HfSet, cap: int = DEFAULT_POWERSET_CAP) -> HfSet:
     n = len(a.children)
     if n > cap:
         raise CapExceeded(f"powerset of {n} elements exceeds cap {cap}")
-    return subsets_of(a, itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(n + 1)))
+    return subsets_of(a, range(1 << n))
 
 
 def ordered_pair(x: HfSet, y: HfSet) -> HfSet:

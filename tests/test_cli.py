@@ -587,7 +587,7 @@ def test_the_oracle_enumerates_choice_functions_once_per_family(tmp_path, monkey
 
 
 def test_enumerate_builds_no_q_node(tmp_path, monkeypatch):
-    # enumerate prints Q_S from the picks' positions (QSet.literals).
+    # enumerate prints Q_S from the Q's masks (QSet.literals).
     builds = count_q_builds(monkeypatch)
     assert run_in(tmp_path, monkeypatch, ["{{}}", "{{},{{}}}"],
                   ["--out", "r.json"], command="enumerate") == 0
@@ -602,6 +602,19 @@ def test_q_s_children_call_make_set_at_most_once(monkeypatch, kind, size):
     calls = count_calls(monkeypatch, hfs.make_set)
     assert len(qs.children) == len(qs) == size
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kind", [OrderKind.WELL_ORDER, OrderKind.PARTIAL_ORDER_WITH_LEAST])
+def test_q_s_literals_build_only_the_base(monkeypatch, kind):
+    # literals renders each Q from its mask over the union base: make_set
+    # builds the base and nothing else, and no Q is built through subsets_of.
+    family = construction.Family.of(parse_hfs(text) for text in DISJOINT4)
+    qs = construction.build_QS(family, construction.U2Variant.UNION_OF_PRODUCTS, kind)
+    make_set_calls = count_calls(monkeypatch, hfs.make_set)
+    subsets_of_calls = count_calls(monkeypatch, hfs.subsets_of)
+    assert len(qs.literals()) == len(qs)
+    assert len(make_set_calls) <= 1
+    assert subsets_of_calls == []
 
 
 def test_literal_u2_on_a_five_element_member_fails_the_order_cap(tmp_path, capsys):

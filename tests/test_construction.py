@@ -4,6 +4,7 @@ import ast
 import importlib
 import itertools
 import json
+import math
 import pkgutil
 from pathlib import Path
 
@@ -744,7 +745,7 @@ def test_q_s_literals_and_the_enumerate_report_equal_the_materialized_q_s(
         tmp_path_factory, members, kind, variant):
     fam = Family.of(members)
     qs = build_QS(fam, variant, kind)
-    literals = qs.literals()
+    literals = ["{" + body + "}" for body in qs.literals()]
     expected = [hfs_literal(q) for q in qs.children]
     assert literals == expected
     path = tmp_path_factory.mktemp("family") / "family.json"
@@ -755,3 +756,71 @@ def test_q_s_literals_and_the_enumerate_report_equal_the_materialized_q_s(
     report = json.loads(rendered)
     assert report["q_s"] == {"size": len(expected), "relations": expected}
     assert rendered == json.dumps(report, indent=2) + "\n"
+
+
+# --- the mask route against the routes it replaced ---------------------------
+
+@st.composite
+def small_q_s(draw):
+    """A family of members from SUBSETS4_UP_TO_3, a kind and a variant, with
+    at most 6,000 Q's, so the slow routes stay cheap."""
+    kind = draw(st.sampled_from(list(OrderKind)))
+    variant = draw(st.sampled_from(list(U2Variant)))
+    members = draw(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3).filter(
+        lambda ms: math.prod(len(construction._picks(len(a), kind)) for a in set(ms)) <= 6000))
+    return Family.of(members), variant, kind
+
+
+def merged_position_route(qs) -> tuple:
+    """Q_S's children and literals by the route masks replaced: each pick as
+    sorted positions in the union base, each Q as its picks' positions
+    merged, ordered by (1 + rank of the last position, size, positions)."""
+    cells = [construction._cells(a) for a in qs.members]
+    base = make_set(itertools.chain.from_iterable(cells)).children
+    position = {p: i for i, p in enumerate(base)}
+    indexed = [[sorted(position[member_cells[b]] for b in construction._bits(mask))
+                for mask, _ in member_picks]
+               for member_cells, member_picks in zip(cells, qs.picks)]
+    merged = {tuple(sorted(itertools.chain.from_iterable(combo)))
+              for combo in itertools.product(*indexed)}
+    order = sorted(merged, key=lambda s: (1 + base[s[-1]].rank, len(s), s) if s else (0, 0, s))
+    children = tuple(make_set(base[i] for i in s) for s in order)
+    literals = ["{" + ",".join(hfs_literal(base[i]) for i in s) + "}" for s in order]
+    return children, literals
+
+
+def sorted_fc_route(family: Family, qs) -> tuple:
+    """F_c by the route the product order replaced: each member's leasts in
+    pick order, every graph built, then one canonical-key sort."""
+    tagged = [[ordered_pair(a, a.children[i]) for i in dict.fromkeys(x for _, x in member_picks)]
+              for a, member_picks in zip(family.members.children, qs.picks)]
+    return tuple(sorted((make_set(chosen) for chosen in itertools.product(*tagged)),
+                        key=canonical_key))
+
+
+THREE = make_set((E, S1, S2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_q_s())
+@example((Family.of([THREE, make_set((E, D))]), U2Variant.UNION_OF_PRODUCTS,
+          OrderKind.UNIQUE_UNIVERSAL))  # Q's of many sizes
+@example((Family.of([THREE]), U2Variant.LITERAL, OrderKind.UNIQUE_UNIVERSAL))
+@example((RUNNING, U2Variant.LITERAL, OrderKind.WELL_ORDER))  # Q_S empty
+def test_q_s_masks_match_the_merged_position_route(case):
+    family, variant, kind = case
+    qs = build_QS(family, variant, kind)
+    children, literals = merged_position_route(qs)
+    assert qs.children == children
+    assert ["{" + body + "}" for body in qs.literals()] == literals
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_q_s())
+@example((Family.of([THREE, make_set((E, D)), ONE]), U2Variant.UNION_OF_PRODUCTS,
+          OrderKind.PARTIAL_ORDER_WITH_LEAST))
+@example((Family.of([EMPTY, TWO]), U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER))
+def test_build_fc_product_order_matches_the_sorted_route(case):
+    family, variant, kind = case
+    qs = build_QS(family, variant, kind)
+    assert build_Fc(family, qs) == sorted_fc_route(family, qs)

@@ -24,6 +24,7 @@ from zflab.hfs import (
     ordered_pair,
     parse_hfs,
     powerset,
+    subset_order,
     subsets_of,
     union_family,
     unpair,
@@ -182,7 +183,7 @@ def test_powerset_cap():
         powerset(make_set(iter_hfs_by_rank(3)[:5]), cap=4)
 
 
-# --- subsets ordered by position ----------------------------------------------
+# --- subsets ordered by mask --------------------------------------------------
 
 RANK3 = iter_hfs_by_rank(3)
 # Ranks 0-3, and rank 5: the tagged pairs (A, x) of a rank-3 member A.
@@ -199,37 +200,67 @@ def make_set_powerset(a: HfSet) -> HfSet:
     )
 
 
+def mask_of(n: int, *positions: int) -> int:
+    """The mask over an n-element base that picks these positions: the
+    first child is the most significant bit."""
+    return sum(1 << (n - 1 - i) for i in positions)
+
+
+def positions_of(n: int, mask: int) -> tuple:
+    return tuple(i for i in range(n) if mask >> (n - 1 - i) & 1)
+
+
+def position_key_order(base: HfSet, index_sets) -> list:
+    """The distinct position tuples, ordered by the key ``subset_order``
+    used before masks: (1 + rank of the last position, size, positions)."""
+    children = base.children
+    keys = {(1 + children[s[-1]].rank, len(s), s) if s else (0, 0, s) for s in index_sets}
+    return [s for _, _, s in sorted(keys)]
+
+
 @st.composite
-def bases_and_index_sets(draw):
+def bases_and_masks(draw):
     base = make_set(draw(st.lists(st.sampled_from(MIXED_RANKS), max_size=8)))
     n = len(base)
-    positions = st.frozensets(st.integers(0, n - 1), max_size=4) if n else st.just(frozenset())
-    sets = [tuple(sorted(s)) for s in draw(st.lists(positions, max_size=10))]
-    sets += sets[:draw(st.integers(0, len(sets)))]  # repeated index sets
-    return base, draw(st.permutations(sets))
+    singleton = st.integers(0, n - 1).map(lambda i: mask_of(n, i)) if n else st.just(0)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1) | singleton | st.just(0), max_size=10))
+    masks += masks[:draw(st.integers(0, len(masks)))]  # repeated masks
+    return base, draw(st.permutations(masks))
 
 
-@given(bases_and_index_sets())
+@given(bases_and_masks())
 def test_subsets_of_matches_make_set(case):
-    base, sets = case
-    expected = make_set(make_set(base.children[i] for i in s) for s in sets)
-    assert subsets_of(base, sets) is expected
+    base, masks = case
+    n = len(base)
+    expected = make_set(make_set(base.children[i] for i in positions_of(n, m)) for m in masks)
+    assert subsets_of(base, masks) is expected
+
+
+@given(bases_and_masks())
+def test_subset_order_matches_the_position_tuple_key(case):
+    base, masks = case
+    n = len(base)
+    assert ([positions_of(n, m) for m in subset_order(base, masks)]
+            == position_key_order(base, [positions_of(n, m) for m in masks]))
 
 
 def test_subsets_of_orders_empty_singletons_and_repeats():
     base = make_set(MIXED_RANKS)
+    n = len(base)
     sets = [(18,), (), (0, 18), (3,), (), (0,), (18,), (1, 2, 3)]
+    masks = [mask_of(n, *s) for s in sets]
     expected = make_set(make_set(base.children[i] for i in s) for s in sets)
-    assert subsets_of(base, sets) is expected
+    assert subsets_of(base, masks) is expected
     assert len(expected) == 6
     assert subsets_of(base, []) is EMPTY
 
 
-@pytest.mark.parametrize("bad", [(0, 0), (1, 2, 2), (2, 1), (0, 3, 1), (5,), (0, 5), (-1, 0)])
-def test_subsets_of_rejects_positions_that_are_not_strictly_increasing_in_range(bad):
+@pytest.mark.parametrize("bad", [-1, -(1 << 5), 1 << 5, (1 << 5) + 1, 1 << 70,
+                                 1.0, "3", (0, 1), None])
+def test_subsets_of_rejects_masks_that_are_negative_too_wide_or_not_ints(bad):
     base = make_set(RANK3[:5])
     with pytest.raises(ValueError):
-        subsets_of(base, [(0, 1), bad])
+        subsets_of(base, [mask_of(5, 0, 1), bad])
 
 
 def test_powerset_is_the_make_set_route_exhaustive():
