@@ -1,13 +1,18 @@
 """Batch front door: load families, run the pipeline and the oracle side by
 side, fuzz random families, and emit deterministic reports.
 
-Reports are plain dicts rendered as JSON or indented text; for a fixed
-configuration (including the seed) the emitted bytes are identical across
-runs.  Exit status is 0 exactly when no asserted property failed, 1 when one
-did (including a cross-check between two internal routes, and a built graph
+Reports are plain dicts, rendered as JSON or indented text by one writer
+per format into a sink, a ``write`` callable: ``execute`` collects the text
+and returns it, and ``main`` streams it into the ``--out`` file or stdout,
+so Q_S's literals are made one at a time as they are written and no
+whole-report string is built.  For a fixed configuration (including the
+seed) the emitted bytes are identical across runs and sinks.
+
+Exit status is 0 exactly when no asserted property failed, 1 when one did
+(including a cross-check between two internal routes, and a built graph
 that is not a choice function on the family), and 2 on diagnostics (bad
-input, caps, unwritable output); findings (such as the literal-universe
-empty Q_S) are recorded without failing.
+input, caps, unwritable output, a write that fails mid-report); findings
+(such as the literal-universe empty Q_S) are recorded without failing.
 
 F_c is carried as the canonically sorted tuple of its graphs, the shape of
 the oracle's, so ``verify`` and ``fuzz`` compare the two directly.
@@ -58,6 +63,9 @@ from .intervals import (
 from .orders import OrderKind, enumerate_orders, pointed_order
 
 __all__ = ["RunConfig", "execute", "load_family", "main"]
+
+# The buffer, in bytes, of the file a report is streamed into.
+_OUT_BUFFER = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -238,7 +246,7 @@ def _enumerate(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
     report["members"] = members
     qs = build_QS(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
     fcs = build_Fc(family, qs)
-    report["q_s"] = {"size": len(qs), "relations": _SetLiterals(qs.literals())}
+    report["q_s"] = {"size": len(qs), "relations": _SetLiterals(qs)}
     report["f_c"] = {
         "size": len(fcs),
         "graphs": [hfs_literal(g) for g in fcs],
@@ -419,6 +427,15 @@ def _check_config(cfg: RunConfig) -> None:
 
 def execute(cfg: RunConfig) -> tuple:
     """Run one command; return (exit status, rendered report)."""
+    status, report = _run(cfg)
+    chunks: list = []
+    _render(report, cfg.format, chunks.append)
+    return status, "".join(chunks)
+
+
+def _run(cfg: RunConfig) -> tuple:
+    """Run one command; return (exit status, report).  Every error the
+    command can raise is caught here, so rendering the report raises none."""
     report = {"command": cfg.command, "config": _config_dict(cfg)}
     findings: list = []
     failures: list = []
@@ -434,82 +451,95 @@ def execute(cfg: RunConfig) -> tuple:
     except OSError as e:
         report["error"] = {"type": "IoError", "message": str(e)}
         status = 2
-    return _conclude(cfg, report, findings, failures, status)
+    return _conclude(report, findings, failures, status)
 
 
-def _conclude(cfg: RunConfig, report: dict, findings: list, failures: list,
-              status: int) -> tuple:
+def _conclude(report: dict, findings: list, failures: list, status: int) -> tuple:
     report["findings"] = findings
     report["failures"] = failures
     report["ok"] = status == 0 and not failures
     if failures and status == 0:
         status = 1
-    return status, _render(report, cfg.format)
+    return status, report
 
 
-def _render(report: dict, fmt: str) -> str:
+def _render(report: dict, fmt: str, write) -> None:
+    """Write ``report`` in format ``fmt``, piece by piece, to ``write``."""
     if fmt == "text":
-        return "\n".join(_text_lines(report, 0)) + "\n"
-    chunks: list = []
-    _json_chunks(report, "", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+        _text_lines(report, 0, write)
+    else:
+        _json_chunks(report, "", write)
+        write("\n")
 
 
-class _SetLiterals(list):
-    """A list of set literals, each held without its outer braces, which
-    the writers emit.  A literal holds only '{', '}' and ',', so it is its
-    own JSON string body, and the JSON writer writes it unescaped."""
+class _SetLiterals:
+    """Q_S's set literals, made by :meth:`QSet.literals` each time they are
+    iterated, each without its outer braces, which the writers emit.  A
+    literal holds only '{', '}' and ',', so it is its own JSON string body,
+    and the JSON writer writes it unescaped."""
+
+    __slots__ = ("qs",)
+
+    def __init__(self, qs):
+        self.qs = qs
+
+    def __len__(self) -> int:
+        return len(self.qs)
+
+    def __iter__(self):
+        return self.qs.literals()
 
 
-def _json_chunks(value, pad: str, chunks: list) -> None:
-    """Append the text ``json.dumps(value, indent=2)`` gives ``value`` at
-    indentation ``pad`` to ``chunks``."""
+# What the text writer prints nested under its key, or as "empty".
+_NESTED = (dict, list, _SetLiterals)
+
+
+def _json_chunks(value, pad: str, write) -> None:
+    """Write the text ``json.dumps(value, indent=2)`` gives ``value`` at
+    indentation ``pad``."""
     if isinstance(value, dict) and value:
         inner = pad + "  "
         sep = "{\n"
         for key, item in value.items():
-            chunks.append(f"{sep}{inner}{json.dumps(key)}: ")
-            _json_chunks(item, inner, chunks)
+            write(f"{sep}{inner}{json.dumps(key)}: ")
+            _json_chunks(item, inner, write)
             sep = ",\n"
-        chunks.append(f"\n{pad}}}")
-    elif isinstance(value, (list, tuple)) and value:
+        write(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple, _SetLiterals)):
         inner = pad + "  "
         sep = "[\n"
         for item in value:
-            chunks.append(sep + inner)
             if isinstance(value, _SetLiterals):
-                chunks += ('"{', item, '}"')
+                write(f'{sep}{inner}"{{{item}}}"')
             else:
-                _json_chunks(item, inner, chunks)
+                write(sep + inner)
+                _json_chunks(item, inner, write)
             sep = ",\n"
-        chunks.append(f"\n{pad}]")
+        write(f"\n{pad}]" if value else "[]")
     else:
-        chunks.append(json.dumps(value))
+        write(json.dumps(value))
 
 
-def _text_lines(value, depth: int) -> list:
+def _text_lines(value, depth: int, write) -> None:
+    """Write the lines of the text report of a dict or a nonempty list."""
     pad = "  " * depth
-    lines = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(item, depth + 1))
+            if isinstance(item, _NESTED) and item:
+                write(f"{pad}{key}:\n")
+                _text_lines(item, depth + 1, write)
             else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
+                write(f"{pad}{key}: {_scalar(item)}\n")
     elif isinstance(value, _SetLiterals):
-        lines.extend(f"{pad}- {{{item}}}" for item in value)
-    elif isinstance(value, list):
         for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(item, depth + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+            write(f"{pad}- {{{item}}}\n")
     else:
-        lines.append(f"{pad}{_scalar(value)}")
-    return lines
+        for item in value:
+            if isinstance(item, _NESTED) and item:
+                write(f"{pad}-\n")
+                _text_lines(item, depth + 1, write)
+            else:
+                write(f"{pad}- {_scalar(item)}\n")
 
 
 def _scalar(value) -> str:
@@ -517,7 +547,7 @@ def _scalar(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (dict, list)):
+    if isinstance(value, _NESTED):
         return "empty"
     return str(value)
 
@@ -575,17 +605,17 @@ def main(argv=None) -> int:
     if "literals" in args:
         args["literals"] = tuple(args["literals"])
     cfg = RunConfig(**args)
-    status, rendered = execute(cfg)
+    status, report = _run(cfg)
     if cfg.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            with open(cfg.out, "w", encoding="utf-8", buffering=_OUT_BUFFER) as fh:
+                _render(report, cfg.format, fh.write)
             return status
         except OSError as e:
             report = {"command": cfg.command, "config": _config_dict(cfg),
                       "error": {"type": "IoError", "message": str(e)}}
-            status, rendered = _conclude(cfg, report, [], [], 2)
-    sys.stdout.write(rendered)
+            status, report = _conclude(report, [], [], 2)
+    _render(report, cfg.format, sys.stdout.write)
     return status
 
 

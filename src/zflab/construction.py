@@ -73,7 +73,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, CrossCheckFailed, EmptyFamily, NoLeast, NotAPair
 from .hfs import (
@@ -382,14 +382,16 @@ class QSet:
             self._set = subsets_of(*self._masks())
         return self._set.children
 
-    def literals(self) -> list:
-        """Each Q's literal without its outer braces, in the order of
-        :attr:`children`: the literals of its pairs, comma-joined."""
+    def literals(self) -> Iterator[str]:
+        """An iterator of each Q's literal without its outer braces, in the
+        order of :attr:`children`: the literals of its pairs, comma-joined.
+        The base, its pairs' literals and the order are fixed when this is
+        called; each Q's literal is joined only when the iterator reaches it."""
         base, masks = self._masks()
         text = [hfs_literal(p) for p in base.children]
         n = len(text)
-        return [",".join(itertools.compress(text, mask_selector(m, n)))
-                for m in subset_order(base, masks)]
+        return (",".join(itertools.compress(text, mask_selector(m, n)))
+                for m in subset_order(base, masks))
 
     def __eq__(self, other):
         if not isinstance(other, (QSet, HfSet)):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +250,17 @@ def run_in(tmp_path, monkeypatch, literals, args, command="verify"):
     return run_cli([command, "--family", "family.json"] + list(args))
 
 
+def assert_every_sink_writes(capsys, argv, status, expected: bytes):
+    """``main`` to stdout and ``execute`` give ``status`` and ``expected``,
+    the bytes ``argv`` with ``--out`` wrote to its file."""
+    capsys.readouterr()
+    assert run_cli(argv) == status
+    assert capsys.readouterr().out.encode() == expected
+    args = vars(cli._parser().parse_args(argv))
+    args["literals"] = tuple(args.get("literals", ()))
+    assert cli.execute(cli.RunConfig(**args)) == (status, expected.decode())
+
+
 @pytest.mark.parametrize("kind", ["wellorder", "pol"])
 def test_verify_report_on_the_four_element_member_is_golden(tmp_path, monkeypatch, kind):
     status = run_in(tmp_path, monkeypatch, ["{{},{{}},{{{}}},{{},{{}}}}"],
@@ -341,13 +353,17 @@ def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
     # 36 Q's of 4, 5 and 6 pairs: the Q's order by size before positions.
     ("enumerate_unique_universal", ["{{},{{}}}", "{{},{{{}}}}"],
      ["--kind", "unique-universal"]),
+    # Q_S and F_c empty: each is written as [].
+    ("enumerate_literal_two_members", ["{{},{{}}}", "{{{}},{{{}}}}"], ["--u2", "literal"]),
 ])
-def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
+def test_reports_are_golden(tmp_path, monkeypatch, capsys, golden, literals, args):
     command = golden.split("_")[0]
     status = run_in(tmp_path, monkeypatch, literals, args + ["--out", "r.json"],
                     command=command)
     assert status == 0
-    assert (tmp_path / "r.json").read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+    expected = (GOLDEN / f"{golden}.json").read_bytes()
+    assert (tmp_path / "r.json").read_bytes() == expected
+    assert_every_sink_writes(capsys, [command, "--family", "family.json"] + args, 0, expected)
 
 
 @pytest.mark.parametrize("golden,args", [
@@ -355,10 +371,12 @@ def test_reports_are_golden(tmp_path, monkeypatch, golden, literals, args):
     ("fuzz_pol_seed7", ["fuzz", "--seed", "7", "--trials", "25", "--kind", "pol",
                         "--allow-empty"]),
 ])
-def test_seeded_reports_are_golden(tmp_path, monkeypatch, golden, args):
+def test_seeded_reports_are_golden(tmp_path, monkeypatch, capsys, golden, args):
     monkeypatch.chdir(tmp_path)
     assert run_cli(args + ["--out", "r.json"]) == 0
-    assert (tmp_path / "r.json").read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+    expected = (GOLDEN / f"{golden}.json").read_bytes()
+    assert (tmp_path / "r.json").read_bytes() == expected
+    assert_every_sink_writes(capsys, args, 0, expected)
 
 
 def test_interval_samples_are_the_offsets_added_to_the_choice_point():
@@ -394,13 +412,65 @@ def test_product_cap_fires_in_build_qs_before_any_choice_comparison(tmp_path, mo
         assert out == (GOLDEN / "verify_product_cap3.json").read_text()
 
 
-def test_text_report_is_golden(tmp_path, monkeypatch):
+@pytest.mark.parametrize("golden,literals,args", [
     # 72 Q's through the text renderer.
-    status = run_in(tmp_path, monkeypatch, DISJOINT4,
-                    ["--kind", "pol", "--format", "text", "--out", "r.txt"],
+    ("enumerate_disjoint4_pol", DISJOINT4, ["--kind", "pol"]),
+    # Q_S and F_c empty: each is printed as "empty".
+    ("enumerate_literal_two_members", ["{{},{{}}}", "{{{}},{{{}}}}"], ["--u2", "literal"]),
+    # The empty member and its one order, the empty relation.
+    ("enumerate_empty_member", ["{}", "{{}}"], []),
+])
+def test_text_report_is_golden(tmp_path, monkeypatch, capsys, golden, literals, args):
+    args = args + ["--format", "text"]
+    status = run_in(tmp_path, monkeypatch, literals, args + ["--out", "r.txt"],
                     command="enumerate")
     assert status == 0
-    assert (tmp_path / "r.txt").read_bytes() == (GOLDEN / "enumerate_disjoint4_pol.txt").read_bytes()
+    expected = (GOLDEN / f"{golden}.txt").read_bytes()
+    assert (tmp_path / "r.txt").read_bytes() == expected
+    assert_every_sink_writes(capsys, ["enumerate", "--family", "family.json"] + args, 0,
+                             expected)
+
+
+# Four disjoint 3-element members: 6^4 = 1,296 well-order Q's, a report of
+# 5.9 MB, far larger than the buffer of the file it is streamed into.
+BIG_ENUMERATE = [hfs.hfs_literal(make_set(hfs.iter_hfs_by_rank(3)[i:i + 3]))
+                 for i in range(0, 12, 3)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_write_failure_mid_report_is_a_diagnostic(tmp_path, monkeypatch, capsys):
+    argv = ["--out", "/dev/full"]
+    assert run_in(tmp_path, monkeypatch, BIG_ENUMERATE, argv, command="enumerate") == 2
+    captured = capsys.readouterr()
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "zflab.cli", "enumerate", "--family", "family.json"] + argv,
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    for out, err in ((captured.out, captured.err), (proc.stdout, proc.stderr)):
+        report = json.loads(out)
+        assert report["error"]["type"] == "IoError"
+        assert "No space left on device" in report["error"]["message"]
+        assert report["ok"] is False
+        assert err == ""
+
+
+def test_enumerate_streams_its_report_into_the_out_file(tmp_path, monkeypatch):
+    # Q_S's literals are made as they are written: a run with warm caches
+    # holds far less than its report at its peak.
+    argv = ["--out", "r.json"]
+    assert run_in(tmp_path, monkeypatch, BIG_ENUMERATE, argv, command="enumerate") == 0
+    tracemalloc.start()
+    try:
+        assert run_in(tmp_path, monkeypatch, BIG_ENUMERATE, argv, command="enumerate") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "r.json").stat().st_size
+    assert json.loads((tmp_path / "r.json").read_text())["q_s"]["size"] == 1296
+    assert peak < size / 4
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -612,7 +682,7 @@ def test_q_s_literals_build_only_the_base(monkeypatch, kind):
     qs = construction.build_QS(family, construction.U2Variant.UNION_OF_PRODUCTS, kind)
     make_set_calls = count_calls(monkeypatch, hfs.make_set)
     subsets_of_calls = count_calls(monkeypatch, hfs.subsets_of)
-    assert len(qs.literals()) == len(qs)
+    assert len(list(qs.literals())) == len(qs)
     assert len(make_set_calls) <= 1
     assert subsets_of_calls == []
 
