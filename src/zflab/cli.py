@@ -1,12 +1,15 @@
 """Batch front door: load families, run the pipeline and the oracle side by
 side, fuzz random families, and emit deterministic reports.
 
-Reports are plain dicts, rendered as JSON or indented text by one writer
-per format into a sink, a ``write`` callable: ``execute`` collects the text
-and returns it, and ``main`` streams it into the ``--out`` file or stdout,
-so Q_S's literals are made one at a time as they are written and no
-whole-report string is built.  For a fixed configuration (including the
-seed) the emitted bytes are identical across runs and sinks.
+Reports are plain dicts that hold the pipeline's own values: ``verify``'s
+``pipeline`` block is the summary :func:`run_pipeline` returns, and
+``enumerate`` puts the ``QSet`` itself under ``q_s``.  One writer per format
+renders a report as JSON or indented text into a sink, a ``write``
+callable: ``execute`` collects the text and returns it, and ``main`` streams
+it into the ``--out`` file or stdout, so Q_S's literals are made one at a
+time as they are written and no whole-report string is built.  For a fixed
+configuration (including the seed) the emitted bytes are identical across
+runs and sinks.
 
 Exit status is 0 exactly when no asserted property failed, 1 when one did
 (including a cross-check between two internal routes, and a built graph
@@ -34,6 +37,7 @@ from . import oracle
 from .construction import (
     DEFAULT_PRODUCT_CAP,
     Family,
+    QSet,
     U2Variant,
     build_Fc,
     build_Fc_literal,
@@ -184,8 +188,8 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
         warnings.append("family contains the empty set")
     report["warnings"] = warnings
 
-    pipeline = run_pipeline(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
-    report["pipeline"] = pipeline.to_dict()
+    summary, qs, fcs = run_pipeline(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
+    report["pipeline"] = summary
     verdict = oracle.verify_equivalence(family)
     report["equivalence"] = {
         "fingerprint": verdict.fingerprint,
@@ -196,11 +200,10 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
     if not verdict.agree:
         failures.append("choice existence and per-member orderability disagree")
 
-    if not pipeline.f_c_all_valid:
+    if not summary["f_c_all_valid"]:
         failures.append("a built graph is not a choice function on the family")
 
     checks = {}
-    fcs = pipeline.fcs
     if variant is U2Variant.UNION_OF_PRODUCTS:
         # No cap check is lost by reading the verdict's graphs: each element
         # is the least of some order of every kind, so |Q_S| >= the number of
@@ -209,14 +212,14 @@ def _verify(cfg: RunConfig, report: dict, findings: list, failures: list) -> Non
         checks["oracle_fc_match"] = match
         if not match:
             failures.append("pipeline choice functions differ from the oracle")
-    if pipeline.q_s_empty and variant is U2Variant.LITERAL:
+    if summary["q_s_empty"] and variant is U2Variant.LITERAL:
         findings.append(
             "literal U2 yields empty Q_S (expected for multi-member families)"
         )
 
     k = len(family.members) * len(family.union)
     if k <= 16:
-        direct = build_Fc_literal(family, pipeline.qs, max(cfg.powerset_cap, k))
+        direct = build_Fc_literal(family, qs, max(cfg.powerset_cap, k))
         agree = direct == fcs
         checks["route_agreement"] = agree
         if not agree:
@@ -246,7 +249,7 @@ def _enumerate(cfg: RunConfig, report: dict, findings: list, failures: list) -> 
     report["members"] = members
     qs = build_QS(family, variant, kind, cfg.powerset_cap, cfg.product_cap)
     fcs = build_Fc(family, qs)
-    report["q_s"] = {"size": len(qs), "relations": _SetLiterals(qs)}
+    report["q_s"] = {"size": len(qs), "relations": qs}
     report["f_c"] = {
         "size": len(fcs),
         "graphs": [hfs_literal(g) for g in fcs],
@@ -419,6 +422,8 @@ def _check_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < 0 and name != "seed":
             raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    if type(cfg.allow_empty) is not bool:
+        raise ConfigError(f"allow_empty must be True or False, got {cfg.allow_empty!r}")
     if cfg.command in ("verify", "enumerate") and not isinstance(cfg.family, str):
         raise ConfigError(f"family must be a file path for {cfg.command}, got {cfg.family!r}")
     if not (isinstance(cfg.literals, tuple) and all(isinstance(t, str) for t in cfg.literals)):
@@ -472,26 +477,12 @@ def _render(report: dict, fmt: str, write) -> None:
         write("\n")
 
 
-class _SetLiterals:
-    """Q_S's set literals, made by :meth:`QSet.literals` each time they are
-    iterated, each without its outer braces, which the writers emit.  A
-    literal holds only '{', '}' and ',', so it is its own JSON string body,
-    and the JSON writer writes it unescaped."""
-
-    __slots__ = ("qs",)
-
-    def __init__(self, qs):
-        self.qs = qs
-
-    def __len__(self) -> int:
-        return len(self.qs)
-
-    def __iter__(self):
-        return self.qs.literals()
-
-
-# What the text writer prints nested under its key, or as "empty".
-_NESTED = (dict, list, _SetLiterals)
+# What the text writer prints nested under its key, or as "empty".  A QSet
+# is printed as its Q's literals (:meth:`QSet.literals`), each without its
+# outer braces, which the writers add.  A literal holds only '{', '}' and
+# ',', so it is its own JSON string body, and the JSON writer writes it
+# unescaped.
+_NESTED = (dict, list, QSet)
 
 
 def _json_chunks(value, pad: str, write) -> None:
@@ -505,11 +496,11 @@ def _json_chunks(value, pad: str, write) -> None:
             _json_chunks(item, inner, write)
             sep = ",\n"
         write(f"\n{pad}}}")
-    elif isinstance(value, (list, tuple, _SetLiterals)):
+    elif isinstance(value, (list, tuple, QSet)):
         inner = pad + "  "
         sep = "[\n"
-        for item in value:
-            if isinstance(value, _SetLiterals):
+        for item in value.literals() if isinstance(value, QSet) else value:
+            if isinstance(value, QSet):
                 write(f'{sep}{inner}"{{{item}}}"')
             else:
                 write(sep + inner)
@@ -530,8 +521,8 @@ def _text_lines(value, depth: int, write) -> None:
                 _text_lines(item, depth + 1, write)
             else:
                 write(f"{pad}{key}: {_scalar(item)}\n")
-    elif isinstance(value, _SetLiterals):
-        for item in value:
+    elif isinstance(value, QSet):
+        for item in value.literals():
             write(f"{pad}- {{{item}}}\n")
     else:
         for item in value:
@@ -606,7 +597,7 @@ def main(argv=None) -> int:
         args["literals"] = tuple(args["literals"])
     cfg = RunConfig(**args)
     status, report = _run(cfg)
-    if cfg.out:
+    if cfg.out is not None:
         try:
             with open(cfg.out, "w", encoding="utf-8", buffering=_OUT_BUFFER) as fh:
                 _render(report, cfg.format, fh.write)

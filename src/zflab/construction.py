@@ -21,7 +21,8 @@ transported order per member, and each order carries its least element, so
 F_c is the product of each member's distinct leasts.  No report builds the
 Q's as sets: ``enumerate`` prints them from their masks over the union of
 the members' pairs (:meth:`QSet.literals`), and a report's one witness Q is
-built alone.
+built alone.  :func:`run_pipeline` returns a run's summary, the plain dict a
+report prints, beside the Q_S and F_c it built.
 
 The candidate universe U2 is deliberately built in two inequivalent ways:
 
@@ -71,7 +72,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -95,7 +95,7 @@ from .hfs import (
 from .orders import OrderKind, Relation, least_index, order_rows
 
 __all__ = [
-    "DEFAULT_PRODUCT_CAP", "Family", "PipelineReport", "QSet", "U2Variant",
+    "DEFAULT_PRODUCT_CAP", "Family", "QSet", "U2Variant",
     "build_Fc", "build_Fc_literal", "build_PA", "build_QS", "build_U2_base",
     "build_universes", "choice_from_Q", "is_choice_function", "phi1_holds",
     "phi3_holds", "restrict_Q", "run_pipeline",
@@ -612,30 +612,6 @@ def phi3_holds(r: Relation, a: HfSet, m: HfSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    """Flat, serialization-ready summary of one pipeline run; ``qs`` and
-    ``fcs`` carry the Q_S (as per-member picks, no Q built) and F_c it built
-    and stay out of :meth:`to_dict`."""
-
-    variant: str
-    kind: str
-    family: str
-    u1_size: int
-    u2_base_size: int
-    u2_size: int
-    qs_size: int
-    fc_size: int
-    q_s_empty: bool
-    f_c_all_valid: bool
-    witnesses: dict
-    qs: QSet = field(repr=False)
-    fcs: tuple = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
-
-
 def _first_q(qs: QSet) -> HfSet:
     """The canonically first Q of a nonempty Q_S, built alone.
 
@@ -653,15 +629,16 @@ def _first_q(qs: QSet) -> HfSet:
 
 def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
                  powerset_cap: int = DEFAULT_POWERSET_CAP,
-                 product_cap: int = DEFAULT_PRODUCT_CAP) -> PipelineReport:
-    """Run the whole construction and report sizes and witnesses.
+                 product_cap: int = DEFAULT_PRODUCT_CAP) -> tuple:
+    """Run the whole construction: (summary, Q_S, F_c).
 
-    Q_S is built once and F_c taken from it by least elements; of the Q's
-    only the witness is built as a set.  U1 and U2
-    are counted.  While no member has more than 3 elements (U1 at most 2^9
-    sets per member) U1 is also built and must match; it is built in mask
-    coordinates (:func:`_u1_masks`), each subset enumerated and deduplicated,
-    and nothing is kept.
+    ``summary`` is the plain dict of sizes, checks and witnesses that a
+    report prints as its ``pipeline`` block.  Q_S is built once and F_c
+    taken from it by least elements; of the Q's only the witness is built
+    as a set.  U1 and U2 are counted.  While no member has more than 3
+    elements (U1 at most 2^9 sets per member) U1 is also built and must
+    match; it is built in mask coordinates (:func:`_u1_masks`), each subset
+    enumerated and deduplicated, and nothing is kept.
     """
     u1_size = _u1_size(family, powerset_cap)
     if all(len(a) <= 3 for a in family.members.children):
@@ -671,22 +648,20 @@ def run_pipeline(family: Family, variant: U2Variant, kind: OrderKind,
     u2_base_size, u2_size = _u2_sizes(family, variant)
     qs = build_QS(family, variant, kind, powerset_cap, product_cap)
     fcs = build_Fc(family, qs)
-    witnesses = {
-        "choice_functions": [hfs_literal(g) for g in fcs[:3]],
-        "combined_relations": [hfs_literal(_first_q(qs))] if len(qs) else [],
+    summary = {
+        "variant": variant.value,
+        "kind": kind.value,
+        "family": hfs_literal(family.members),
+        "u1_size": u1_size,
+        "u2_base_size": u2_base_size,
+        "u2_size": u2_size,
+        "qs_size": len(qs),
+        "fc_size": len(fcs),
+        "q_s_empty": len(qs) == 0,
+        "f_c_all_valid": all(is_choice_function(g, family) for g in fcs),
+        "witnesses": {
+            "choice_functions": [hfs_literal(g) for g in fcs[:3]],
+            "combined_relations": [hfs_literal(_first_q(qs))] if len(qs) else [],
+        },
     }
-    return PipelineReport(
-        variant=variant.value,
-        kind=kind.value,
-        family=hfs_literal(family.members),
-        u1_size=u1_size,
-        u2_base_size=u2_base_size,
-        u2_size=u2_size,
-        qs_size=len(qs),
-        fc_size=len(fcs),
-        q_s_empty=len(qs) == 0,
-        f_c_all_valid=all(is_choice_function(g, family) for g in fcs),
-        witnesses=witnesses,
-        qs=qs,
-        fcs=fcs,
-    )
+    return summary, qs, fcs

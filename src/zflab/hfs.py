@@ -60,7 +60,6 @@ __all__ = [
     "MAX_LITERAL_DEPTH",
     "HfSet",
     "OrderedPairView",
-    "canonical_compare",
     "canonical_key",
     "cartesian",
     "hfs_literal",
@@ -88,9 +87,10 @@ MAX_LITERAL_DEPTH = 256
 class HfSet:
     """A hereditarily finite set in canonical form.
 
-    ``children`` is the tuple of member sets, duplicate-free and sorted under
-    :func:`canonical_compare`; ``rank`` is the nesting depth (0 for the empty
-    set).  Instances come from the module factories (:func:`make_set`,
+    ``children`` is the tuple of member sets, duplicate-free and sorted
+    canonically (:func:`canonical_key`: rank first, then cardinality, then
+    children); ``rank`` is the nesting depth (0 for the empty set).
+    Instances come from the module factories (:func:`make_set`,
     :func:`parse_hfs`, the set-forming operations), never from direct
     construction, and are immutable value objects.
     """
@@ -211,13 +211,6 @@ def make_set(elems: Iterable[HfSet] = ()) -> HfSet:
 
 
 EMPTY = make_set(())
-
-
-def canonical_compare(a: HfSet, b: HfSet) -> int:
-    """-1/0/1 ordering: rank first, then cardinality, then children."""
-    if a is b or a._key == b._key:
-        return 0
-    return -1 if a._key < b._key else 1
 
 
 def _members(a: HfSet) -> frozenset:

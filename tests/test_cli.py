@@ -73,6 +73,8 @@ def test_a_malformed_family_entry_names_the_file_and_the_entry(tmp_path):
     ({"command": "intervals", "trials": "3"}, "trials"),
     ({"command": "fuzz", "trials": True}, "trials"),
     ({"command": "fuzz", "seed": [1]}, "seed"),
+    ({"command": "fuzz", "trials": 3, "allow_empty": "false"}, "allow_empty"),
+    ({"command": "fuzz", "trials": 3, "allow_empty": 1}, "allow_empty"),
     ({"command": "intervals", "literals": (3,)}, "literals"),
     ({"command": "intervals", "literals": "[1,3]"}, "literals"),
     ({"command": "fuzz", "powerset_cap": -1}, "powerset_cap"),
@@ -290,6 +292,24 @@ def test_out_to_a_missing_directory_is_a_diagnostic(tmp_path, capsys):
     assert "nodir" in report["error"]["message"]
     assert report["ok"] is False
     assert not (tmp_path / "nodir").exists()
+
+
+def test_an_empty_out_path_is_a_diagnostic(capsys):
+    # An empty --out names no file: it fails to open like any bad path, and
+    # does not fall back to stdout.
+    argv = ["intervals", "--trials", "3", "--out", ""]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "zflab.cli"] + argv, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    for out, err in ((captured.out, captured.err), (proc.stdout, proc.stderr)):
+        report = json.loads(out)
+        assert report["error"]["type"] == "IoError"
+        assert report["ok"] is False
+        assert "demo" not in report
+        assert err == ""
 
 
 @pytest.mark.parametrize("flags,env,named", [

@@ -172,24 +172,23 @@ def test_the_pipeline_builds_u1_without_kernel_powersets(kind, monkeypatch):
     fam = Family.of(make_set(elements[i:i + 3]) for i in range(0, 12, 3))
     forbid(monkeypatch, construction, "build_universes", "powerset")
     forbid(monkeypatch, hfs, "powerset")
-    report = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind(kind))
+    summary, _, _ = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind(kind))
     # four disjoint 9-pair squares share only the empty relation
-    assert report.u1_size == 4 * 2**9 - 3
+    assert summary["u1_size"] == 4 * 2**9 - 3
 
 
 def test_a_four_element_member_builds_no_u1(monkeypatch):
     fam = Family.of([make_set(UNIVERSE4), ONE])
     forbid(monkeypatch, construction, "_u1_masks", "build_universes")
-    report = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
-    assert report.u1_size == _u1_size(fam)
+    summary, _, _ = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
+    assert summary["u1_size"] == _u1_size(fam)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 4, 8, 9])
 def test_the_pipeline_fails_the_cap_as_the_count_does(cap):
     fam = Family.of([ONE, TWO, make_set((E, S1, S2))])
-    assert cap_outcome(lambda: _u1_size(fam, cap)) == cap_outcome(
-        lambda: run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER, cap).u1_size
-    )
+    assert cap_outcome(lambda: _u1_size(fam, cap)) == cap_outcome(lambda: run_pipeline(
+        fam, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER, cap)[0]["u1_size"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,8 +438,7 @@ def test_phi3_rejects_other_relations():
 
 
 def test_run_pipeline_report_shape():
-    rep = run_pipeline(RUNNING, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
-    d = rep.to_dict()
+    d, _, _ = run_pipeline(RUNNING, U2Variant.UNION_OF_PRODUCTS, OrderKind.WELL_ORDER)
     assert list(d) == [
         "variant", "kind", "family", "u1_size", "u2_base_size", "u2_size",
         "qs_size", "fc_size", "q_s_empty", "f_c_all_valid", "witnesses",
@@ -457,10 +455,10 @@ def test_run_pipeline_report_shape():
 
 
 def test_run_pipeline_literal_variant_reports_the_finding():
-    rep = run_pipeline(RUNNING, U2Variant.LITERAL, OrderKind.WELL_ORDER)
-    assert rep.u2_size == 17
-    assert rep.q_s_empty
-    assert rep.fc_size == 0
+    summary, _, _ = run_pipeline(RUNNING, U2Variant.LITERAL, OrderKind.WELL_ORDER)
+    assert summary["u2_size"] == 17
+    assert summary["q_s_empty"]
+    assert summary["fc_size"] == 0
 
 
 # --- the per-member pair table against the routes it replaces ----------------
@@ -666,7 +664,7 @@ def test_picks_route_equals_the_materialized_q_s(members, kind):
     qs = build_QS(fam, U2Variant.UNION_OF_PRODUCTS, kind)
     expected = lifted_qs(fam, kind)
     fcs = build_Fc(fam, qs)
-    witnesses = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, kind).witnesses
+    witnesses = run_pipeline(fam, U2Variant.UNION_OF_PRODUCTS, kind)[0]["witnesses"]
     # The sizes, F_c and the witness come from the picks, before any Q is built.
     assert len(qs) == len(expected)
     graphs = {choice_from_Q(q, fam) for q in expected.children}

@@ -14,7 +14,6 @@ from zflab.hfs import (
     EMPTY,
     MAX_LITERAL_DEPTH,
     HfSet,
-    canonical_compare,
     canonical_key,
     cartesian,
     hfs_literal,
@@ -121,12 +120,12 @@ def test_parse_rejects_literals_nested_past_the_bound(depth):
 def test_canonical_order_is_total_and_consistent():
     atoms = iter_hfs_by_rank(3)
     for a in atoms:
-        assert canonical_compare(a, a) == 0
+        assert not a < a
     for a, b in itertools.combinations(atoms, 2):
-        assert canonical_compare(a, b) == -canonical_compare(b, a) != 0
+        assert (a < b) != (b < a)
+        assert (a < b) == (canonical_key(a) < canonical_key(b))
     ordered = sorted(atoms, key=canonical_key)
     for x, y in zip(ordered, ordered[1:]):
-        assert canonical_compare(x, y) == -1
         assert x < y
 
 
