@@ -31,6 +31,7 @@ import random
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import oracle
@@ -477,6 +478,16 @@ def _render(report: dict, fmt: str, write) -> None:
         write("\n")
 
 
+# The text json.dumps gives the report's common scalars, by exact type and
+# without its encoder's set-up per call; any other value goes through
+# json.dumps.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
 # What the text writer prints nested under its key, or as "empty".  A QSet
 # is printed as its Q's literals (:meth:`QSet.literals`), each without its
 # outer braces, which the writers add.  A literal holds only '{', '}' and
@@ -492,7 +503,7 @@ def _json_chunks(value, pad: str, write) -> None:
         inner = pad + "  "
         sep = "{\n"
         for key, item in value.items():
-            write(f"{sep}{inner}{json.dumps(key)}: ")
+            write(f"{sep}{inner}{_SCALARS.get(type(key), json.dumps)(key)}: ")
             _json_chunks(item, inner, write)
             sep = ",\n"
         write(f"\n{pad}}}")
@@ -508,7 +519,7 @@ def _json_chunks(value, pad: str, write) -> None:
             sep = ",\n"
         write(f"\n{pad}]" if value else "[]")
     else:
-        write(json.dumps(value))
+        write(_SCALARS.get(type(value), json.dumps)(value))
 
 
 def _text_lines(value, depth: int, write) -> None:

@@ -582,7 +582,9 @@ def build_Fc_literal(family: Family, qs: QSet,
     for combo in itertools.product(*_union_masks(qs)):
         present = sum(combo)  # the pairs of one Q, as union-base bits
         valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
-    return subsets_of(candidates, [mask for mask in range(1 << k) if mask in valid_masks]).children
+    # The intersection walks range(1 << k): every mask of the powerset is
+    # generated and tested against the valid ones, in one C loop.
+    return subsets_of(candidates, valid_masks.intersection(range(1 << k))).children
 
 
 def is_choice_function(graph: HfSet, family: Family) -> bool:

@@ -7,9 +7,12 @@ distance from a*, ties broken toward the smaller number; restricted to any
 finite sample it is a partial order with least element a*.
 
 Endpoints are exact rationals (fractions.Fraction), so every check here is
-decidable equality, never a tolerance.  The sample check puts its points
-over one common denominator and compares their distance keys as integers,
-which is exact too.
+decidable equality, never a tolerance.  The interval checks compare
+rationals by integer cross-multiplication: with b, d > 0, a/b < c/d iff
+a*d < c*b.  The sample check puts its points over one common denominator
+and compares their distance keys as integers, which is exact too.
+``phi2_holds`` and ``pol_compare`` stay Fraction formulations, the
+independent statements the integer checks are tested against.
 """
 
 from __future__ import annotations
@@ -61,9 +64,11 @@ class Interval:
         if self.hi is None and self.hi_closed:
             raise ValueError("an infinite right end must be open")
         if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi:
+            (ln, ld), (hn, hd) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+            c = hn * ld - ln * hd  # the sign of hi - lo
+            if c < 0:
                 raise EmptyInterval(f"{self.lo} > {self.hi}")
-            if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            if c == 0 and not (self.lo_closed and self.hi_closed):
                 raise EmptyInterval(
                     f"a point interval at {self.lo} needs both ends closed"
                 )
@@ -71,11 +76,16 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         if isinstance(x, float) and not math.isfinite(x):
             return False  # inf and nan are not rationals
+        n, d = x.as_integer_ratio()
         if self.lo is not None:
-            if x < self.lo or (x == self.lo and not self.lo_closed):
+            ln, ld = self.lo.as_integer_ratio()
+            c = n * ld - ln * d  # the sign of x - lo
+            if c < 0 or (c == 0 and not self.lo_closed):
                 return False
         if self.hi is not None:
-            if x > self.hi or (x == self.hi and not self.hi_closed):
+            hn, hd = self.hi.as_integer_ratio()
+            c = hn * d - n * hd  # the sign of hi - x
+            if c < 0 or (c == 0 and not self.hi_closed):
                 return False
         return True
 
@@ -106,10 +116,13 @@ def choice_value(i: Interval) -> Fraction:
     if i.lo is None and i.hi is None:
         return Fraction(0)
     if i.lo is None:
-        return i.hi - 1
+        n, d = i.hi.as_integer_ratio()
+        return Fraction(n - d, d)
     if i.hi is None:
-        return i.lo + 1
-    return (i.lo + i.hi) / 2
+        n, d = i.lo.as_integer_ratio()
+        return Fraction(n + d, d)
+    (ln, ld), (hn, hd) = i.lo.as_integer_ratio(), i.hi.as_integer_ratio()
+    return Fraction(ln * hd + hn * ld, 2 * ld * hd)
 
 
 def phi2_holds(i: Interval, x: Fraction) -> bool:
@@ -160,11 +173,15 @@ def sample_check_pol(i: Interval, sample: Iterable[Fraction]) -> PropertyReport:
     # compared as pol_compare compares them.
     a = numerators[0]  # a*
     keys = [(abs(n - a), n) for n in order]
-    rows = tuple(
-        sum(1 << j for j, ky in enumerate(keys) if kx <= ky)
-        for kx in keys
-    )
-    return properties_from_rows(rows, elements)
+    rows = []
+    for kx in keys:
+        row, bit = 0, 1
+        for ky in keys:
+            if kx <= ky:
+                row |= bit
+            bit <<= 1
+        rows.append(row)
+    return properties_from_rows(tuple(rows), elements)
 
 
 def hyper_choice(intervals: Sequence[Union[Interval, str]]) -> tuple:

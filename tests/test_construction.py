@@ -829,3 +829,37 @@ def test_build_fc_product_order_matches_the_sorted_route(case):
     family, variant, kind = case
     qs = build_QS(family, variant, kind)
     assert build_Fc(family, qs) == sorted_fc_route(family, qs)
+
+
+def comprehension_visit_route(family: Family, qs) -> tuple:
+    """``build_Fc_literal`` with the visit the set intersection replaced: a
+    list comprehension over ``range(1 << k)`` that tests each mask."""
+    candidates = cartesian(family.members, family.union)
+    k = len(candidates)
+    bit_of = {unpair(p): 1 << (k - 1 - i) for i, p in enumerate(candidates.children)}
+    members = family.members.children
+    tests = [(bit_of[a, m], ((1 << len(a)) - 1) << (offset + i * len(a)))
+             for offset, a in zip(construction._offsets(members), members)
+             for i, m in enumerate(a.children)]
+    valid_masks = set()
+    for combo in itertools.product(*construction._union_masks(qs)):
+        present = sum(combo)
+        valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
+    return hfs.subsets_of(candidates, [mask for mask in range(1 << k)
+                                       if mask in valid_masks]).children
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=4),
+       st.sampled_from(list(OrderKind)), st.sampled_from(list(U2Variant)))
+@example([THREE, make_set((E, S1, D)), make_set((S1, S2, D)), make_set((E, S2, D))],
+         OrderKind.WELL_ORDER, U2Variant.UNION_OF_PRODUCTS)  # k = 16
+@example([THREE, make_set((E, D))], OrderKind.UNIQUE_UNIVERSAL, U2Variant.UNION_OF_PRODUCTS)
+@example([EMPTY, TWO], OrderKind.PARTIAL_ORDER_WITH_LEAST, U2Variant.UNION_OF_PRODUCTS)
+@example([ONE, TWO], OrderKind.WELL_ORDER, U2Variant.LITERAL)  # Q_S empty
+def test_the_intersection_visit_equals_the_comprehension_it_replaces(members, kind, variant):
+    assume(q_count(members, kind) <= 6000)
+    family = Family.of(members)
+    assume(len(family.members) * len(family.union) <= 16)
+    qs = build_QS(family, variant, kind)
+    assert build_Fc_literal(family, qs) == comprehension_visit_route(family, qs)

@@ -17,6 +17,11 @@ The Theorem-4 roundtrip keeps one verdict per (member, chosen element), so a
 broken induced order shows only to a cold memo; the memo's verdicts equal
 the direct route's, clean and broken alike.
 
+A member whose orderability the oracle fails to find, while its choice
+functions are still found, makes the equivalence's two sides disagree:
+``verify`` reports ``agree: false`` and fails, and ``fuzz`` records the
+disagreement.
+
 A built F_c graph that is not a choice function on the family (a member left
 out, an element chosen from outside its member, a non-pair) fails ``verify``
 with exit 1 and a JSON report, as a failed property, never a traceback.
@@ -553,3 +558,45 @@ def test_a_graph_that_is_not_a_choice_function_fails_verify(tmp_path):
                           family_path)
     assert debug is False
     assert got == EXPECTED_CORRUPTED_FC
+
+
+# --- the choice/orderability equivalence ------------------------------------------
+
+def break_orderability():
+    # The oracle's orderability side loses {{},{{}}}: no order with a least
+    # element is found on it, while its choice functions are still there.
+    real = oracle._pol_exists
+    return patched(oracle, "_pol_exists", lambda a: a != TWO and real(a))
+
+
+def disagreement_outcomes(family_path: str) -> list:
+    """``verify`` on the running family and ``fuzz --trials 5`` with one
+    member's orderability broken: verify's exit status, equivalence block,
+    failures and ``ok``, then fuzz's exit status, failures and ``ok``."""
+    with break_orderability():
+        verify_status, verify = cli.execute(cli.RunConfig(command="verify", family=family_path))
+        fuzz_status, fuzz = cli.execute(cli.RunConfig(command="fuzz", trials=5))
+    verify, fuzz = json.loads(verify), json.loads(fuzz)
+    return [[verify_status, verify["equivalence"], verify["failures"], verify["ok"]],
+            [fuzz_status, fuzz["failures"], fuzz["ok"]]]
+
+
+# Seed 0's trials 0 and 3 hold {{},{{}}}.
+EXPECTED_DISAGREEMENT = [
+    [1, {"fingerprint": "{{{}},{{},{{}}}}", "has_choice": True, "all_members_have_pol": False,
+         "agree": False},
+     ["choice existence and per-member orderability disagree"], False],
+    [1, [f"trial {i}: equivalence disagreement on {family}" for i, family in (
+        (0, "{{{},{{}}},{{{}},{{{}}},{{},{{}}}}}"),
+        (3, "{{{},{{}}},{{},{{}},{{{}}}},{{},{{}},{{},{{}}}}}"),
+    )], False],
+]
+
+
+def test_a_broken_equivalence_side_fails_verify_and_fuzz(tmp_path):
+    family_path = write_running(tmp_path)
+    assert disagreement_outcomes(family_path) == EXPECTED_DISAGREEMENT
+    debug, got = python_O(tmp_path, "[__debug__, t.disagreement_outcomes(sys.argv[1])]",
+                          family_path)
+    assert debug is False
+    assert got == EXPECTED_DISAGREEMENT

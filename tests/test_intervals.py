@@ -1,10 +1,16 @@
-"""Interval arm tests: parsing, choice values, the distance order."""
+"""Interval arm tests: parsing, choice values, the distance order.
 
+The interval checks compare rationals by integer cross-multiplication; each
+is tested against the Fraction-operator formulation it replaced, kept here
+as a reference.
+"""
+
+import math
 from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from zflab import intervals
 from zflab.errors import EmptyInterval, ParseError, SampleOutsideInterval
@@ -248,3 +254,104 @@ def test_hyper_choice_reports_the_component_with_a_malformed_literal(bad, messag
     with pytest.raises(ParseError) as err:
         hyper_choice(["[1,3]", bad])
     assert str(err.value) == message
+
+
+# --- the integer checks against the Fraction formulations they replaced ----------
+
+def fraction_contains(i, x) -> bool:
+    """``Interval.contains`` by Fraction comparisons."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return False
+    if i.lo is not None:
+        if x < i.lo or (x == i.lo and not i.lo_closed):
+            return False
+    if i.hi is not None:
+        if x > i.hi or (x == i.hi and not i.hi_closed):
+            return False
+    return True
+
+
+def fraction_emptiness(lo, hi, lo_closed, hi_closed):
+    """The message ``Interval`` raises EmptyInterval with, by Fraction
+    comparisons, or None for a nonempty interval."""
+    if lo > hi:
+        return f"{lo} > {hi}"
+    if lo == hi and not (lo_closed and hi_closed):
+        return f"a point interval at {lo} needs both ends closed"
+    return None
+
+
+def fraction_choice_value(i) -> Q:
+    """``choice_value`` by Fraction ``+``, ``-`` and ``/`` on the exact ends."""
+    if i.lo is None and i.hi is None:
+        return Q(0)
+    if i.lo is None:
+        return Q(i.hi) - 1
+    if i.hi is None:
+        return Q(i.lo) + 1
+    return (Q(i.lo) + Q(i.hi)) / 2
+
+
+# Exact rationals of every kind a caller may hand in: small and huge
+# Fractions, ints, and finite floats, whose exact ratio is a binary fraction
+# (0.1 is not Fraction("0.1")).
+_huge = st.integers(-10**40, 10**40)
+_exact = (_rats | st.builds(Q, _huge, st.integers(1, 10**40)) | _huge
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.1, -0.1, Q(1, 10), Q(-1, 10), 5e-324, 1e300]))
+_non_finite = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+_flags = st.booleans()
+
+
+def _interval_or_none(lo, hi, lo_closed, hi_closed):
+    try:
+        return Interval(lo, hi, lo_closed, hi_closed)
+    except EmptyInterval:
+        return None
+
+
+@given(st.none() | _exact, st.none() | _exact, _flags, _flags,
+       st.lists(_exact | _non_finite, max_size=6))
+@example(Q(0), Q(1, 10), True, True, [])  # 0.1 is above 1/10
+@example(Q(1, 10), Q(1), False, True, [])
+@example(0.1, Q(1), False, True, [])  # the point is the open end itself
+@example(Q(-10**40, 3), Q(10**40 + 1, 3), True, False, [])
+def test_contains_matches_the_fraction_comparisons(lo, hi, lo_closed, hi_closed, points):
+    i = _interval_or_none(lo, hi, lo is not None and lo_closed, hi is not None and hi_closed)
+    assume(i is not None)
+    # Each end, and the points a decimal reading confuses with 1/10.
+    ends = [e for e in (lo, hi) if e is not None]
+    for x in points + ends + [0.1, -0.1, Q(1, 10), 0]:
+        assert i.contains(x) == fraction_contains(i, x), x
+    for x in (float("inf"), float("-inf"), float("nan")):
+        assert not i.contains(x)
+
+
+@given(_exact, _exact, _flags, _flags)
+@example(Q(3), Q(3), True, False)
+@example(Q(3), 3.0, False, True)
+@example(Q(6, 4), 1.5, True, True)
+@example(0.1, Q(1, 10), True, True)  # 0.1 is above 1/10: empty
+@example(Q(1, 10), 0.1, False, False)
+@example(Q(10**40 + 1, 10**40), Q(10**40, 10**40 - 1), True, True)
+def test_emptiness_matches_the_fraction_comparisons(lo, hi, lo_closed, hi_closed):
+    try:
+        Interval(lo, hi, lo_closed, hi_closed)
+        got = None
+    except EmptyInterval as e:
+        got = str(e)
+    assert got == fraction_emptiness(lo, hi, lo_closed, hi_closed)
+
+
+@given(st.none() | _exact, st.none() | _exact, _flags, _flags)
+@example(None, 0.1, False, False)
+@example(Q(1, 10**40 + 7), Q(3, 10**40 - 1), False, False)
+@example(Q(-7, 2), None, True, False)
+def test_choice_value_matches_the_fraction_arithmetic(lo, hi, lo_closed, hi_closed):
+    i = _interval_or_none(lo, hi, lo is not None and lo_closed, hi is not None and hi_closed)
+    assume(i is not None)
+    value = choice_value(i)
+    assert type(value) is Q
+    assert value == fraction_choice_value(i)
+    assert str(value) == str(fraction_choice_value(i))
+    assert i.contains(value)

@@ -52,6 +52,12 @@ GOLDEN_JSON = (CLI + "test_reports_are_golden", CLI + "test_seeded_reports_are_g
 GOLDEN_TEXT = (CLI + "test_text_report_is_golden",)
 RAISES = CROSS + "test_each_cross_check_raises_when_its_routes_disagree"
 NOT_A_CHOICE = CROSS + "test_a_graph_that_is_not_a_choice_function_fails_verify"
+DISAGREEMENT = CROSS + "test_a_broken_equivalence_side_fails_verify_and_fuzz"
+INTERVALS = "tests/test_intervals.py::"
+CONTAINS = (INTERVALS + "test_containment",
+            INTERVALS + "test_contains_matches_the_fraction_comparisons")
+EMPTINESS = (INTERVALS + "test_empty_intervals_rejected",
+             INTERVALS + "test_emptiness_matches_the_fraction_comparisons")
 
 CATALOGUE = (
     # Each cross-check, weakened to an assert: a wrong error type normally,
@@ -94,11 +100,13 @@ CATALOGUE = (
     Mutant("equivalence-agree", "oracle.py",
            "return self.has_choice == self.all_members_have_pol", "return True",
            ("tests/test_oracle.py", CLI + "test_verify_reports_the_expected_sizes",
-            "tests/test_acceptance.py::test_criterion_6_choice_orderability_equivalence")),
+            "tests/test_acceptance.py::test_criterion_6_choice_orderability_equivalence",
+            DISAGREEMENT), optimized=True),
     Mutant("equivalence-failure", "cli.py",
            '    if not verdict.agree:\n        failures.append("choice existence',
            '    if False:\n        failures.append("choice existence',
-           ("tests/test_oracle.py", CLI + "test_verify_reports_the_expected_sizes")),
+           ("tests/test_oracle.py", CLI + "test_verify_reports_the_expected_sizes", DISAGREEMENT),
+           optimized=True),
     Mutant("f-c-all-valid", "construction.py",
            '"f_c_all_valid": all(is_choice_function(g, family) for g in fcs)',
            '"f_c_all_valid": True',
@@ -169,6 +177,30 @@ CATALOGUE = (
     Mutant("invalid-graph-not-a-failure", "cli.py",
            'failures.append("a built graph is not a choice function on the family")', "pass",
            (NOT_A_CHOICE,)),
+    # The integer interval checks, the F_c separation's visit and the sample
+    # rows, each against the formulation it replaced.
+    Mutant("contains-open-lo-end", "intervals.py",
+           "if c < 0 or (c == 0 and not self.lo_closed):", "if c < 0:", CONTAINS),
+    Mutant("contains-open-hi-end", "intervals.py",
+           "if c < 0 or (c == 0 and not self.hi_closed):", "if c < 0:", CONTAINS),
+    Mutant("contains-hi-sign", "intervals.py",
+           "c = hn * d - n * hd", "c = n * hd - hn * d", CONTAINS),
+    Mutant("empty-interval-unchecked", "intervals.py",
+           "            if c < 0:\n                raise EmptyInterval",
+           "            if False:\n                raise EmptyInterval", EMPTINESS),
+    Mutant("point-interval-unchecked", "intervals.py",
+           "if c == 0 and not (self.lo_closed and self.hi_closed):", "if False:", EMPTINESS),
+    Mutant("choice-value-no-halving", "intervals.py",
+           "return Fraction(ln * hd + hn * ld, 2 * ld * hd)",
+           "return Fraction(ln * hd + hn * ld, ld * hd)",
+           (INTERVALS + "test_choice_values",
+            INTERVALS + "test_choice_value_matches_the_fraction_arithmetic")),
+    Mutant("sample-rows-strict", "intervals.py",
+           "            if kx <= ky:\n", "            if kx < ky:\n",
+           (INTERVALS + "test_sample_rows_are_the_pol_compare_rows",)),
+    Mutant("fc-visit-half-powerset", "construction.py",
+           "valid_masks.intersection(range(1 << k))", "valid_masks.intersection(range(1 << k - 1))",
+           (CONSTRUCTION + "test_the_intersection_visit_equals_the_comprehension_it_replaces",)),
     Mutant("config-unchecked", "cli.py",
            "        _check_config(cfg)\n", "",
            (CLI + "test_execute_reports_a_config_main_would_refuse",)),
