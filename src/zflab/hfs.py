@@ -5,18 +5,51 @@ deduplicated and sorted rank-first (then by cardinality, then lexicographically
 on children), so extensional equality coincides with structural equality and
 each set has exactly one literal rendering.
 
+Each node keeps its canonical key, a byte string: the field of its rank, the
+field of its cardinality, then its children's keys in canonical order.  The
+field of v is the one byte v when v < 255, and otherwise the byte 0xFF and
+then v as four big-endian bytes (no rank or cardinality reaches 2**32 in
+memory).  Sorting sets, and comparing two of them, is thus a bytes
+comparison, however deeply the sets nest:
+
+    Lemma.  No key is a proper prefix of another, and two keys compare
+    bytewise as their sets do canonically: by rank, then by cardinality,
+    then lexicographically on their children.
+
+    Proof, by induction on the larger rank.  A field's first byte tells its
+    length, so no field is a proper prefix of another, and fields compare
+    bytewise as their values do: values below 255 are single bytes below
+    0xFF, and larger ones share the byte 0xFF and a fixed width of
+    big-endian digits.  A key therefore reads back uniquely: two fields,
+    then as many keys as the second field says, none of them a proper
+    prefix of another by induction; so no key is a proper prefix of
+    another, and distinct sets have distinct keys.  Let s and t be
+    distinct sets.  If their ranks differ, the two rank fields differ, and
+    at a byte inside both, which orders s and t by rank; so too for
+    cardinality.  Otherwise their children first differ at some index i.
+    The bytes before the i-th children's keys agree, and those two keys
+    differ at a byte inside both, which orders them as the i-th children
+    are ordered.
+
+While every rank and cardinality stays below 255, a key holds two bytes per
+node of the set's unrolled tree, where a shared subset counts once for each
+place it occurs: as many bytes as the literal has braces.  Sets with heavy
+sharing cost memory exponential in their size: ``von_neumann(n)`` unrolls to
+2**n nodes, so its key is 2**(n + 1) bytes, 2 MB for n = 20.
+
 Nodes are hash-consed through a weak intern table keyed by the identities of
-their children, so two live sets with equal content are one object.  The key
-is sound because every set comes from the table: by induction on rank, equal
-children are the same objects, so equal sets have equal keys.  An entry's
-node holds its children, so their ids cannot be reused while the entry
-lives; a node's entry is dropped when the node dies, and an entry whose weak
-reference already reads None is overwritten.  Hence ``make_set`` deduplicates
-by identity, and building a node hashes only the ids, never a child's
-``__hash__``.  Equality stays extensional: ``==`` compares content and agrees
-with ``is``.  A node's hash is computed on its first ``__hash__``, so sets
-never hashed (most candidates of a scan) skip it.  ``ordered_pair`` builds
-its nodes directly: {x} sorts before {x,y}, and one key comparison orders x, y.
+their children, so two live sets with equal content are one object.  The
+table key is sound because every set comes from the table: by induction on
+rank, equal children are the same objects, so equal sets have equal table
+keys.  An entry's node holds its children, so their ids cannot be reused
+while the entry lives; a node's entry is dropped when the node dies, and an
+entry whose weak reference already reads None is overwritten.  Hence
+``make_set`` deduplicates by identity, and building a node hashes only the
+ids, never a child's ``__hash__``.  Equality stays extensional: ``==``
+compares content and agrees with ``is``.  A node's hash is computed on its
+first ``__hash__``, so sets never hashed (most candidates of a scan) skip
+it.  ``ordered_pair`` builds its nodes directly: {x} sorts before {x,y}, and
+one key comparison orders x, y.
 
 Each node renders its literal once and keeps the text, so a subset shared by
 many sets (a tagged pair inside every relation of Q_S, say) is printed once
@@ -79,8 +112,8 @@ __all__ = [
 
 DEFAULT_POWERSET_CAP = 20
 # Parsed literals nest at most this deep.  Deeper sets would outrun the
-# interpreter's recursion limit, in the parser and printer and in comparing
-# the canonical keys of two deep sets of equal rank.
+# interpreter's recursion limit in the parser, the printer and ``__hash__``.
+# Comparing canonical keys does not recurse: each key is one byte string.
 MAX_LITERAL_DEPTH = 256
 
 
@@ -89,7 +122,12 @@ class HfSet:
 
     ``children`` is the tuple of member sets, duplicate-free and sorted
     canonically (:func:`canonical_key`: rank first, then cardinality, then
-    children); ``rank`` is the nesting depth (0 for the empty set).
+    children); ``rank`` is the nesting depth (0 for the empty set).  The key
+    is a byte string built with the node (see the module docstring), so
+    ``<`` and sorting compare bytes; it is as long as the set's unrolled
+    tree, about the size of its literal.  The hash is not the key's: it
+    combines the rank, the cardinality and the children's hashes, so it does
+    not depend on ``PYTHONHASHSEED``.
     Instances come from the module factories (:func:`make_set`,
     :func:`parse_hfs`, the set-forming operations), never from direct
     construction, and are immutable value objects.
@@ -179,6 +217,11 @@ def _forget(ref: _InternRef, table: dict = _intern) -> None:
 _get_key = operator.attrgetter("_key")
 
 
+def _field(v: int) -> bytes:
+    """One byte for v < 255, else 0xFF and then v as four big-endian bytes."""
+    return v.to_bytes(1, "big") if v < 255 else b"\xff" + v.to_bytes(4, "big")
+
+
 def _node(children: tuple) -> HfSet:
     """Intern a children tuple that is already sorted and duplicate-free."""
     key = tuple(map(id, children))
@@ -190,7 +233,7 @@ def _node(children: tuple) -> HfSet:
     n = len(children)
     # Children are sorted rank-first, so the last one has the largest rank.
     rank = 1 + children[-1].rank if n else 0
-    node = HfSet(children, rank, (rank, n, tuple(map(_get_key, children))))
+    node = HfSet(children, rank, _field(rank) + _field(n) + b"".join(map(_get_key, children)))
     ref = _InternRef(node, _forget)
     ref.key = key
     _intern[key] = ref

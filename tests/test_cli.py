@@ -399,6 +399,32 @@ def test_seeded_reports_are_golden(tmp_path, monkeypatch, capsys, golden, args):
     assert_every_sink_writes(capsys, args, 0, expected)
 
 
+# Golden report -> (family literals or None, argv).
+HASH_SEED_RUNS = {
+    "verify_A4_pol": (["{{},{{}},{{{}}},{{},{{}}}}"], ["verify", "--kind", "pol"]),
+    "enumerate_pol": (["{{},{{}}}", "{{},{{}},{{{}}}}"], ["enumerate", "--kind", "pol"]),
+    "fuzz_pol_seed7": (None, ["fuzz", "--seed", "7", "--trials", "25", "--kind", "pol",
+                              "--allow-empty"]),
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("golden", sorted(HASH_SEED_RUNS))
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, golden, hash_seed):
+    # Canonical keys are bytes, whose hashes are salted per process: no
+    # report may depend on a hash order.
+    literals, argv = HASH_SEED_RUNS[golden]
+    if literals is not None:
+        write_family(tmp_path, literals)
+        argv = argv + ["--family", "family.json"]
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "zflab.cli"] + argv, cwd=tmp_path,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / f"{golden}.json").read_bytes()
+
+
 def test_interval_samples_are_the_offsets_added_to_the_choice_point():
     # A report carries only pass counts, so the sample stream is pinned here
     # against the sum it stands for, draw by draw.

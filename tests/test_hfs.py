@@ -3,11 +3,12 @@
 import gc
 import itertools
 import json
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import UNIVERSE4, UNIVERSE5, frozen_pair, frozen_powerset, to_frozen
+from helpers import DISJOINT4, UNIVERSE4, UNIVERSE5, frozen_pair, frozen_powerset, to_frozen
 from zflab import hfs
 from zflab.errors import CapExceeded, NotAPair, ParseError
 from zflab.hfs import (
@@ -467,23 +468,97 @@ def test_intern_table_shrinks_back_after_a_dropped_powerset():
     assert all(ref() is not None for ref in hfs._intern.values())
 
 
+# --- the flat canonical key ----------------------------------------------------
+
+def reference_field(v: int) -> bytes:
+    """A key field from its definition: the byte v below 255, else the byte
+    255 and then v as an unsigned 32-bit big-endian integer."""
+    return bytes([v]) if v < 255 else bytes([255]) + struct.pack(">I", v)
+
+
 def reference_fields(s: HfSet) -> tuple:
     """(rank, canonical key, hash) computed from scratch, rank as one more
     than the largest child rank."""
     fields = [reference_fields(c) for c in s.children]
     rank = 1 + max((r for r, _, _ in fields), default=-1)
-    key = (rank, len(fields), tuple(k for _, k, _ in fields))
+    key = reference_field(rank) + reference_field(len(fields)) + b"".join(k for _, k, _ in fields)
     return rank, key, hash((rank, len(fields)) + tuple(h for _, _, h in fields))
 
 
+def tuple_key(s: HfSet) -> tuple:
+    """The nested-tuple key that the flat key replaced: rank, then
+    cardinality, then the children's keys."""
+    return (s.rank, len(s.children), tuple(map(tuple_key, s.children)))
+
+
+def assert_tuple_key_order(sets) -> None:
+    """On every pair of ``sets``, the flat key orders as the tuple key does,
+    and two sets have one key only when they are one object."""
+    keyed = [(s, canonical_key(s), tuple_key(s)) for s in sets]
+    for a, key_a, ref_a in keyed:
+        for b, key_b, ref_b in keyed:
+            assert (key_a < key_b) == (ref_a < ref_b)
+            assert (key_a == key_b) == (a is b)
+
+
+RANK3_AND_PAIRS = RANK3 + [ordered_pair(x, y) for x in RANK3 for y in RANK3]
+
+
 def test_rank_key_and_hash_match_the_reference_on_rank3_sets_and_pairs():
-    universe = iter_hfs_by_rank(3)
-    sets = universe + [ordered_pair(x, y) for x in universe for y in universe]
-    assert len(sets) == 16 + 16 * 16
-    for s in sets:
+    assert len(RANK3_AND_PAIRS) == 16 + 16 * 16
+    for s in RANK3_AND_PAIRS:
         assert (s.rank, canonical_key(s), hash(s)) == reference_fields(s)
+        assert len(canonical_key(s)) == 2 * hfs_literal(s).count("{")
         keys = [reference_fields(c)[1] for c in s.children]
         assert keys == sorted(set(keys))
+
+
+def test_the_flat_key_orders_rank3_sets_and_pairs_as_the_tuple_key():
+    assert_tuple_key_order(RANK3_AND_PAIRS)
+
+
+def test_the_flat_key_orders_tagged_pairs_of_disjoint_members_as_the_tuple_key():
+    # The tags (A, x) of four disjoint members, and the pairs of tags that
+    # the relations of Q_S hold.
+    family = [parse_hfs(text) for text in DISJOINT4]
+    tags = [ordered_pair(a, x) for a in family for x in a.children]
+    assert len(tags) == 9
+    assert_tuple_key_order(tags + [ordered_pair(s, t) for s in tags for t in tags])
+
+
+@given(st.lists(hf_sets, max_size=8))
+def test_the_flat_key_orders_drawn_sets_as_the_tuple_key(sets):
+    assert_tuple_key_order(sets + [c for s in sets for c in s.children])
+
+
+def test_long_cardinality_fields_order_as_the_tuple_key():
+    # Each set holds the last of the 512 subsets of a 9-element base, so all
+    # have one rank and differ in cardinality or children.
+    subsets = powerset(make_set(RANK3[:9])).children
+    assert len(subsets) == 512
+    sets = [make_set(subsets[-k:]) for k in (254, 255, 256, 257, 512)]
+    sets += [make_set(subsets[:k - 1] + subsets[-1:]) for k in (255, 256, 257)]
+    assert {s.rank for s in sets} == {1 + subsets[-1].rank}
+    assert sorted({len(s) for s in sets}) == [254, 255, 256, 257, 512]
+    for s in sets:
+        assert canonical_key(s) == reference_fields(s)[1]
+    assert_tuple_key_order(sets)
+
+
+def test_long_rank_fields_order_as_the_tuple_key():
+    chain = [EMPTY]
+    while len(chain) <= 300:
+        chain.append(make_set((chain[-1],)))
+    assert [s.rank for s in chain[250:262]] == list(range(250, 262))
+    sets = chain[250:262] + [make_set((EMPTY, s)) for s in chain[250:262]] + chain[-1:]
+    for s in sets:
+        assert canonical_key(s) == reference_fields(s)[1]
+    assert_tuple_key_order(sets)
+
+
+@given(hf_sets)
+def test_a_key_holds_two_bytes_per_brace_of_the_literal(s):
+    assert len(canonical_key(s)) == 2 * hfs_literal(s).count("{")
 
 
 def test_ordered_pair_is_the_pair_set_built_without_make_set(monkeypatch):

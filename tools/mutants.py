@@ -58,6 +58,8 @@ CONTAINS = (INTERVALS + "test_containment",
             INTERVALS + "test_contains_matches_the_fraction_comparisons")
 EMPTINESS = (INTERVALS + "test_empty_intervals_rejected",
              INTERVALS + "test_emptiness_matches_the_fraction_comparisons")
+HFS = "tests/test_hfs.py::"
+KEY_REFERENCE = HFS + "test_rank_key_and_hash_match_the_reference_on_rank3_sets_and_pairs"
 
 CATALOGUE = (
     # Each cross-check, weakened to an assert: a wrong error type normally,
@@ -201,6 +203,19 @@ CATALOGUE = (
     Mutant("fc-visit-half-powerset", "construction.py",
            "valid_masks.intersection(range(1 << k))", "valid_masks.intersection(range(1 << k - 1))",
            (CONSTRUCTION + "test_the_intersection_visit_equals_the_comprehension_it_replaces",)),
+    # The flat canonical key, each against its from-scratch reference and
+    # the nested-tuple order it replaced.
+    Mutant("key-long-field-little-endian", "hfs.py",
+           'b"\\xff" + v.to_bytes(4, "big")', 'b"\\xff" + v.to_bytes(4, "little")',
+           (HFS + "test_long_cardinality_fields_order_as_the_tuple_key",
+            HFS + "test_long_rank_fields_order_as_the_tuple_key")),
+    Mutant("key-fields-swapped", "hfs.py",
+           "_field(rank) + _field(n)", "_field(n) + _field(rank)",
+           (KEY_REFERENCE,
+            HFS + "test_the_flat_key_orders_rank3_sets_and_pairs_as_the_tuple_key")),
+    Mutant("key-header-dropped", "hfs.py",
+           '_field(rank) + _field(n) + b"".join(', 'b"".join(',
+           (KEY_REFERENCE, HFS + "test_a_key_holds_two_bytes_per_brace_of_the_literal")),
     Mutant("config-unchecked", "cli.py",
            "        _check_config(cfg)\n", "",
            (CLI + "test_execute_reports_a_config_main_would_refuse",)),
