@@ -48,10 +48,17 @@ pairs, in bit order, turns a mask into pairs where a set is needed.  An
 order's mask and the index of its least element depend only on |A|, so
 every member of one size shares them.
 
+The separation route tests rows per pick, not per Q.  The members' squares
+are disjoint and a Q's bits over A are its pick for A; each row test reads
+only A's square; so a Q's tagged-least pairs are the union of its picks'
+tagged-least pairs, and F_c's masks are the sums over the product of each
+member's distinct parts.
+
 Each of these artifacts (a member's pair table, each size's picks, each
-subset-filter result) is computed once per key per process.  Each memo is
-the cached function itself (``functools.cache``), keyed by its arguments,
-so ``cache_info()`` and ``cache_clear()`` come with it.
+subset-filter result, the full rows of each member's picks) is computed
+once per key per process.  Each memo is the cached function itself
+(``functools.cache``), keyed by its arguments, so ``cache_info()`` and
+``cache_clear()`` come with it.
 
 The sizes of U1 and U2 are counted, not built.  U1 is also built as a
 cross-check while members are small (see :func:`run_pipeline`), in mask
@@ -555,33 +562,46 @@ def build_Fc(family: Family, qs: QSet) -> tuple:
     return tuple(make_set(chosen) for chosen in itertools.product(*tagged))
 
 
+@functools.cache
+def _full_rows(n: int, picks: tuple) -> frozenset:
+    """The distinct sets of full rows among the masks of ``picks``, picks of
+    an n-element member: per pick, the indices i whose row, bits i*n to
+    i*n+n-1 of its mask, is all ones.  The memo is keyed by the picks
+    themselves, so picks that differ never share an answer."""
+    full = (1 << n) - 1
+    return frozenset(tuple(i for i in range(n) if mask >> i * n & full == full)
+                     for mask, _ in picks)
+
+
 def build_Fc_literal(family: Family, qs: QSet,
                      powerset_cap: int = DEFAULT_POWERSET_CAP) -> tuple:
     """The choice set separated literally from the powerset of A_S x A_U.
 
     Every subset of A_S x A_U is tested: it belongs iff some combined
     relation Q in ``qs`` makes the subset's pairs exactly the tagged-least
-    pairs of Q.  A subset is a mask over A_S x A_U, its first pair the most
-    significant bit, so the graphs come in :func:`subset_order`.  Must
-    coincide with :func:`build_Fc` on the same ``qs``; exponential in
-    |A_S| * |A_U|.
+    pairs of Q, the pairs (A, m) whose row of Q's A-part is full.  A subset
+    is a mask over A_S x A_U, its first pair the most significant bit, so
+    the graphs come in :func:`subset_order`.  Must coincide with
+    :func:`build_Fc` on the same ``qs``; exponential in |A_S| * |A_U|.
+
+    The row test runs once per pick, not once per Q: the members' squares
+    are disjoint and a Q's A-part is its pick for A, each row test reads
+    only A's square, so a Q's tagged-least pairs are the union of its picks'
+    tagged-least pairs, and the valid masks are the sums over the product of
+    each member's distinct parts.  The picks' masks are read, never their
+    recorded least element.
     """
     candidates = cartesian(family.members, family.union)
     k = len(candidates)
     if k > powerset_cap:
         raise CapExceeded(f"separation over {k} candidate pairs exceeds cap {powerset_cap}")
     bit_of = {unpair(p): 1 << (k - 1 - i) for i, p in enumerate(candidates.children)}
-    # Per (A, m) with m in A (no Q in Q_S holds ((A,m),(A,b)) for m outside
-    # A): its candidate bit, and row m of A's square as union-base bits.
-    tests = [
-        (bit_of[a, m], ((1 << len(a)) - 1) << (offset + i * len(a)))
-        for offset, a in zip(_offsets(family.members.children), family.members.children)
-        for i, m in enumerate(a.children)
-    ]
-    valid_masks = set()
-    for combo in itertools.product(*_union_masks(qs)):
-        present = sum(combo)  # the pairs of one Q, as union-base bits
-        valid_masks.add(sum(chosen for chosen, needed in tests if needed & present == needed))
+    # Per member A, the candidate bits of (A, m) for the full rows m of each
+    # pick (no Q in Q_S holds ((A,m),(A,b)) for m outside A), summed.
+    parts = [{sum(bit_of[a, a.children[i]] for i in rows)
+              for rows in _full_rows(len(a), member_picks)}
+             for a, member_picks in zip(family.members.children, qs.picks)]
+    valid_masks = set(map(sum, itertools.product(*parts)))
     # The intersection walks range(1 << k): every mask of the powerset is
     # generated and tested against the valid ones, in one C loop.
     return subsets_of(candidates, valid_masks.intersection(range(1 << k))).children

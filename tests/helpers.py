@@ -83,7 +83,7 @@ def small_family_space():
 # here, at import, so that a test which patches one of these names still
 # clears the memo itself.
 MEMOS = (construction._cells, construction._picks, construction._filtered,
-         orders.order_rows, cli._induced_order_holds)
+         construction._full_rows, orders.order_rows, cli._induced_order_holds)
 
 
 @contextlib.contextmanager

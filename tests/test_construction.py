@@ -606,9 +606,10 @@ def test_verify_computes_each_artifact_once_per_key(tmp_path):
         return {memo.__name__: memo.cache_info().misses for memo in MEMOS}
 
     # _cells: the two members; _picks and order_rows: sizes 1 and 2;
-    # _filtered: (1,), (2,) and (1, 2); _induced_order_holds: {{}} with {},
-    # and {{},{{}}} with each of its two elements.
-    once = {"_cells": 2, "_picks": 2, "_filtered": 3, "order_rows": 2,
+    # _filtered: (1,), (2,) and (1, 2); _full_rows: the picks of sizes 1
+    # and 2; _induced_order_holds: {{}} with {}, and {{},{{}}} with each of
+    # its two elements.
+    once = {"_cells": 2, "_picks": 2, "_filtered": 3, "_full_rows": 2, "order_rows": 2,
             "_induced_order_holds": 3}
     with cold_caches():
         first = cli.execute(config)
@@ -863,3 +864,63 @@ def test_the_intersection_visit_equals_the_comprehension_it_replaces(members, ki
     assume(len(family.members) * len(family.union) <= 16)
     qs = build_QS(family, variant, kind)
     assert build_Fc_literal(family, qs) == comprehension_visit_route(family, qs)
+
+
+# --- the per-pick row test against the per-Q loop -----------------------------
+
+@st.composite
+def rows_of(draw, n: int) -> int:
+    """An n²-bit mask in the row layout, each row full or any n-bit row, so
+    that masks with no, one or several full rows all occur."""
+    full = (1 << n) - 1
+    rows = draw(st.lists(st.one_of(st.just(full), st.integers(0, full)), min_size=n, max_size=n))
+    return construction._rows_mask(rows)
+
+
+@st.composite
+def drawn_q_s(draw):
+    """A family of 1-4 members from SUBSETS4_UP_TO_3 with k <= 16, and a
+    QSet over it whose picks are arbitrary masks, up to four per member."""
+    members = draw(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=4))
+    family = Family.of(members)
+    assume(len(family.members) * len(family.union) <= 16)
+    picks = tuple(
+        tuple(draw(st.lists(st.tuples(rows_of(len(a)), st.integers(0, max(len(a) - 1, 0))),
+                            max_size=4)))
+        for a in family.members.children)
+    return family, construction.QSet(family.members.children, picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_q_s())
+@example((Family.of([THREE, A4]), construction.QSet(
+    Family.of([THREE, A4]).members.children,
+    (((0b111_111_111, 0), (0b001_111_010, 1), (0, 0)), ((0xFFFF, 0), (0x0F0F, 2))))))
+def test_the_per_pick_row_test_equals_the_per_q_loop(case):
+    family, qs = case
+    assert build_Fc_literal(family, qs) == comprehension_visit_route(family, qs)
+
+
+def test_the_per_pick_row_test_equals_the_per_q_loop_on_every_small_family():
+    # Every family of one or two members of SUBSETS4 (all have k <= 16),
+    # under every kind and both U2 variants, where the loop meets at most
+    # 6,000 Q's.
+    families = [c for r in (1, 2) for c in itertools.combinations(SUBSETS4, r)]
+    checked = 0
+    for members, kind, variant in itertools.product(families, OrderKind, U2Variant):
+        if q_count(members, kind) <= 6000:
+            family = Family.of(members)
+            qs = build_QS(family, variant, kind)
+            assert build_Fc_literal(family, qs) == comprehension_visit_route(family, qs)
+            checked += 1
+    assert checked == 774
+
+
+def test_the_full_row_memo_is_keyed_by_the_picks():
+    # Two pick tuples of one size share no answer, and neither does one
+    # pick tuple under another member size.
+    with cold_caches():
+        assert construction._full_rows(2, ((0b0111, 0),)) == {(0,)}
+        assert construction._full_rows(2, ((0b1111, 0),)) == {(0, 1)}
+        assert construction._full_rows(4, ((0b1111, 0),)) == {(0,)}
+        assert construction._full_rows.cache_info().misses == 3

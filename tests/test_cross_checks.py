@@ -166,6 +166,14 @@ def wellorder_routes_disagree() -> bool:
         return raises_cross_check(lambda: orders.enumerate_orders(TWO, WO))
 
 
+def direct_rows_disagree(generator: str, kind: OrderKind) -> bool:
+    # The direct generator loses its first order at every size; the
+    # brute-force filter, which checks every size from 1 to 3, does not.
+    real = getattr(orders, generator)
+    with cold_caches(), patched(orders, generator, lambda n: real(n)[1:]):
+        return all(raises_cross_check(lambda: orders.order_rows(n, kind)) for n in (1, 2, 3))
+
+
 def order_count_carriers_disagree() -> bool:
     # The second carrier has one element too few.
     with patched(oracle, "_nested_singletons",
@@ -180,6 +188,9 @@ CHECKS = {
     "run_pipeline_u1": u1_routes_disagree,
     "run_pipeline_u1_masks": u1_mask_corrupted,
     "enumerate_orders": wellorder_routes_disagree,
+    "order_rows_pol": lambda: direct_rows_disagree("_pol_rows", OrderKind.PARTIAL_ORDER_WITH_LEAST),
+    "order_rows_unique_universal": lambda: direct_rows_disagree(
+        "_unique_universal_rows", OrderKind.UNIQUE_UNIVERSAL),
     "count_orders": order_count_carriers_disagree,
 }
 

@@ -256,6 +256,14 @@ def test_order_rows_equal_the_brute_force_filter(n, kind):
             assert properties_from_rows(rows, range(n)).least == least
 
 
+@pytest.mark.parametrize("kind", [OrderKind.PARTIAL_ORDER_WITH_LEAST,
+                                  OrderKind.UNIQUE_UNIVERSAL])
+def test_direct_order_rows_at_four_equal_the_brute_force_filter(kind):
+    # At n = 4 nothing cross-checks the direct generators inside the package.
+    assert sorted(order_rows(4, kind)) == sorted(_brute_force(4, kind))
+    assert len(set(order_rows(4, kind))) == len(order_rows(4, kind))
+
+
 @pytest.mark.parametrize("kind,counts", [
     (OrderKind.WELL_ORDER, [1, 1, 2, 6, 24]),
     (OrderKind.PARTIAL_ORDER_WITH_LEAST, [1, 1, 2, 9, 76]),

@@ -60,6 +60,10 @@ EMPTINESS = (INTERVALS + "test_empty_intervals_rejected",
              INTERVALS + "test_emptiness_matches_the_fraction_comparisons")
 HFS = "tests/test_hfs.py::"
 KEY_REFERENCE = HFS + "test_rank_key_and_hash_match_the_reference_on_rank3_sets_and_pairs"
+PER_PICK = (CONSTRUCTION + "test_the_per_pick_row_test_equals_the_per_q_loop",
+            CONSTRUCTION + "test_the_per_pick_row_test_equals_the_per_q_loop_on_every_small_family")
+DIRECT_ROWS = ("tests/test_orders.py::test_order_rows_equal_the_brute_force_filter",
+               "tests/test_orders.py::test_direct_order_rows_at_four_equal_the_brute_force_filter")
 
 CATALOGUE = (
     # Each cross-check, weakened to an assert: a wrong error type normally,
@@ -79,9 +83,9 @@ CATALOGUE = (
            'raise CrossCheckFailed(f"counted |U1|',
            'assert False, (f"counted |U1|',
            (RAISES, CROSS + "test_verify_fails_on_a_corrupted_u1_mask_set"), optimized=True),
-    Mutant("wellorder-check", "orders.py",
-           'raise CrossCheckFailed("permutation route',
-           'assert False, ("permutation route',
+    Mutant("order-rows-check", "orders.py",
+           'raise CrossCheckFailed("direct route',
+           'assert False, ("direct route',
            (RAISES,), optimized=True),
     Mutant("order-count-check", "oracle.py",
            "raise CrossCheckFailed(\n                f\"order count depends",
@@ -203,6 +207,17 @@ CATALOGUE = (
     Mutant("fc-visit-half-powerset", "construction.py",
            "valid_masks.intersection(range(1 << k))", "valid_masks.intersection(range(1 << k - 1))",
            (CONSTRUCTION + "test_the_intersection_visit_equals_the_comprehension_it_replaces",)),
+    # The per-pick row test of the F_c separation, against the per-Q loop.
+    Mutant("fc-row-test-any-bit", "construction.py",
+           "mask >> i * n & full == full", "mask >> i * n & full != 0", PER_PICK),
+    Mutant("fc-row-shift-unscaled", "construction.py",
+           "mask >> i * n & full", "mask >> i & full", PER_PICK),
+    # The direct order generators, against the brute-force filter.
+    Mutant("pol-relates-back-to-least", "orders.py",
+           "row >> m << m + 1 | row & low", "row >> m << m + 1 | row & low | 1 << m", DIRECT_ROWS),
+    Mutant("unique-universal-second-full-row", "orders.py",
+           "itertools.product(range(full), repeat=n - 1)",
+           "itertools.product(range(full + 1), repeat=n - 1)", DIRECT_ROWS),
     # The flat canonical key, each against its from-scratch reference and
     # the nested-tuple order it replaced.
     Mutant("key-long-field-little-endian", "hfs.py",
@@ -211,10 +226,14 @@ CATALOGUE = (
             HFS + "test_long_rank_fields_order_as_the_tuple_key")),
     Mutant("key-fields-swapped", "hfs.py",
            "_field(rank) + _field(n)", "_field(n) + _field(rank)",
+           (HFS + "test_long_cardinality_fields_order_as_the_tuple_key",
+            HFS + "test_long_rank_fields_order_as_the_tuple_key")),
+    Mutant("key-short-fields-swapped", "hfs.py",
+           "bytes((rank, n))", "bytes((n, rank))",
            (KEY_REFERENCE,
             HFS + "test_the_flat_key_orders_rank3_sets_and_pairs_as_the_tuple_key")),
     Mutant("key-header-dropped", "hfs.py",
-           '_field(rank) + _field(n) + b"".join(', 'b"".join(',
+           'header + b"".join(', 'b"".join(',
            (KEY_REFERENCE, HFS + "test_a_key_holds_two_bytes_per_brace_of_the_literal")),
     Mutant("config-unchecked", "cli.py",
            "        _check_config(cfg)\n", "",
