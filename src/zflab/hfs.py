@@ -233,8 +233,7 @@ def _node(children: tuple) -> HfSet:
     n = len(children)
     # Children are sorted rank-first, so the last one has the largest rank.
     rank = 1 + children[-1].rank if n else 0
-    header = bytes((rank, n)) if rank < 255 and n < 255 else _field(rank) + _field(n)
-    node = HfSet(children, rank, header + b"".join(map(_get_key, children)))
+    node = HfSet(children, rank, _field(rank) + _field(n) + b"".join(map(_get_key, children)))
     ref = _InternRef(node, _forget)
     ref.key = key
     _intern[key] = ref

@@ -21,11 +21,11 @@ Whether a relation is an order of a kind depends only on its shape, which
 index relates to which, so :func:`order_rows` enumerates the orders of each
 kind once per carrier size, as row tuples, and every carrier of that size
 reads them.  Each kind is generated directly: well-orders from
-permutations, partial orders with least from each least element and a
-partial order of the other elements, and unique-universal relations from
-each universal element and any non-full other rows.  Up to 3 elements,
-every kind is always cross-checked against the brute-force filter over all
-row tuples.
+permutations, partial orders with least by filtering, per least element,
+only the row tuples where its row is full and no other row holds it, and
+unique-universal relations from each universal element and any non-full
+other rows.  Up to 3 elements, every kind is always cross-checked against
+the brute-force filter over all row tuples.
 """
 
 from __future__ import annotations
@@ -310,41 +310,20 @@ def _brute_force_rows(n: int, kind: OrderKind) -> list:
             if _rows_satisfy(rows, kind)]
 
 
-def _partial_order_rows(k: int) -> list:
-    # Every partial order on k indices, each built once: a partial order on
-    # the first ``new`` indices grows by index ``new`` with a down-closed set
-    # ``below`` under it and an up-closed set ``above`` over it, disjoint,
-    # every element of ``below`` under every element of ``above``.
-    found = [()]
-    for new in range(k):
-        found = [
-            tuple(row | (below >> i & 1) << new for i, row in enumerate(rows))
-            + (above | 1 << new,)
-            for rows in found
-            for below in range(1 << new)
-            if all(row & below == 0 or below >> i & 1 for i, row in enumerate(rows))
-            for above in range(1 << new)
-            if below & above == 0
-            and all(rows[i] & ~above == 0 for i in range(new) if above >> i & 1)
-            and all(rows[i] & above == above for i in range(new) if below >> i & 1)
-        ]
-    return found
-
-
 def _pol_rows(n: int) -> list:
-    # Per least element m, row m full, and the other indices carrying any
-    # partial order among themselves, none related to m: each order on the
-    # n - 1 others, its indices from m on moved up by one.
+    # Per least element m, row m full and no other row holding m (the least
+    # is below everything, so by antisymmetry nothing else is below it); the
+    # filter keeps the candidates whose other rows form a partial order.
     if n == 0:
         return [()]
     full = (1 << n) - 1
-    orders_of_others = _partial_order_rows(n - 1)
     found = []
     for m in range(n):
-        low = (1 << m) - 1
-        for others in orders_of_others:
-            rows = [row >> m << m + 1 | row & low for row in others]
-            found.append((*rows[:m], full, *rows[m:]))
+        others = [row for row in range(1 << n) if not row >> m & 1]
+        candidates = ((*rest[:m], full, *rest[m:])
+                      for rest in itertools.product(others, repeat=n - 1))
+        found.extend(rows for rows in candidates
+                     if _rows_satisfy(rows, OrderKind.PARTIAL_ORDER_WITH_LEAST))
     return found
 
 
@@ -360,8 +339,9 @@ def order_rows(n: int, kind: OrderKind) -> tuple:
     """Every order of ``kind`` over n indexed elements, as row tuples.
 
     Each kind is generated directly: well-orders from the n! permutations,
-    partial orders with least per least element (:func:`_pol_rows`), and
-    unique-universal relations per universal element.  n is capped at 4,
+    partial orders with least by a filter over the 2**((n-1)**2) candidates
+    of each least element (:func:`_pol_rows`), and unique-universal
+    relations per universal element.  n is capped at 4,
     and for n at most 3 every kind is re-derived from the brute-force filter
     over all 2**(n*n) row tuples; CrossCheckFailed if the two disagree.  The
     result is computed once per (n, kind): the memo is this function
