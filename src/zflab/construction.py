@@ -292,7 +292,8 @@ def _over(base: HfSet, cells: tuple, masks: Iterable) -> list:
     the most significant bit).  Every cell must be a child of ``base``."""
     n = len(base)
     bit = {p: 1 << (n - 1 - i) for i, p in enumerate(base.children)}
-    return [sum(bit[cells[b]] for b in _bits(mask)) for mask in masks]
+    cell_bits = [bit[p] for p in cells]
+    return [sum(cell_bits[b] for b in _bits(mask)) for mask in masks]
 
 
 @functools.cache

@@ -20,12 +20,12 @@ two hold vacuously while the third fails, and that asymmetry is preserved.
 Whether a relation is an order of a kind depends only on its shape, which
 index relates to which, so :func:`order_rows` enumerates the orders of each
 kind once per carrier size, as row tuples, and every carrier of that size
-reads them.  Each kind is generated directly: well-orders from
-permutations, partial orders with least by filtering, per least element,
-only the row tuples where its row is full and no other row holds it, and
-unique-universal relations from each universal element and any non-full
-other rows.  Up to 3 elements, every kind is always cross-checked against
-the brute-force filter over all row tuples.
+reads them.  All three kinds come from one generator, built on the fact the
+paper's equivalence rests on: every order of every kind has a least element,
+related to everything.  Per least element m it filters the row tuples whose
+row m is full and whose other rows are not (nor, in the two antisymmetric
+kinds, hold m).  Up to 3 elements, every kind is always cross-checked
+against the brute-force filter over all row tuples.
 """
 
 from __future__ import annotations
@@ -294,67 +294,46 @@ def pointed_order(a: HfSet, m: HfSet) -> Relation:
     return relation_over(a, make_set(pairs))
 
 
-def _chain_rows(perm: tuple) -> tuple:
-    # The well-order listing the indices in ``perm`` from least to greatest.
-    rows = [0] * len(perm)
-    above = 0
-    for i in reversed(perm):
-        above |= 1 << i
-        rows[i] = above
-    return tuple(rows)
-
-
 def _brute_force_rows(n: int, kind: OrderKind) -> list:
     # Every row tuple over n indices that meets the condition of ``kind``.
     return [rows for rows in itertools.product(range(1 << n), repeat=n)
             if _rows_satisfy(rows, kind)]
 
 
-def _pol_rows(n: int) -> list:
-    # Per least element m, row m full and no other row holding m (the least
-    # is below everything, so by antisymmetry nothing else is below it); the
-    # filter keeps the candidates whose other rows form a partial order.
-    if n == 0:
-        return [()]
+def _rows_with_least(n: int, kind: OrderKind) -> list:
+    # Per least element m, row m full and every other row non-full; in the
+    # antisymmetric kinds no other row holds m either, since m is below it.
+    # The filter keeps the candidates that are orders of ``kind``.  Each
+    # order has exactly one full row, so it is found once, under its least.
+    # The empty carrier has no least; it is an order iff ``kind`` holds there.
     full = (1 << n) - 1
-    found = []
+    found = [()] if n == 0 and _rows_satisfy((), kind) else []
     for m in range(n):
-        others = [row for row in range(1 << n) if not row >> m & 1]
+        others = [row for row in range(full)
+                  if kind is OrderKind.UNIQUE_UNIVERSAL or not row >> m & 1]
         candidates = ((*rest[:m], full, *rest[m:])
                       for rest in itertools.product(others, repeat=n - 1))
-        found.extend(rows for rows in candidates
-                     if _rows_satisfy(rows, OrderKind.PARTIAL_ORDER_WITH_LEAST))
+        found.extend(rows for rows in candidates if _rows_satisfy(rows, kind))
     return found
-
-
-def _unique_universal_rows(n: int) -> list:
-    # Per universal element m, row m full and every other row any non-full row.
-    full = (1 << n) - 1
-    return [(*others[:m], full, *others[m:])
-            for m in range(n) for others in itertools.product(range(full), repeat=n - 1)]
 
 
 @functools.cache
 def order_rows(n: int, kind: OrderKind) -> tuple:
     """Every order of ``kind`` over n indexed elements, as row tuples.
 
-    Each kind is generated directly: well-orders from the n! permutations,
-    partial orders with least by a filter over the 2**((n-1)**2) candidates
-    of each least element (:func:`_pol_rows`), and unique-universal
-    relations per universal element.  n is capped at 4,
-    and for n at most 3 every kind is re-derived from the brute-force filter
-    over all 2**(n*n) row tuples; CrossCheckFailed if the two disagree.  The
-    result is computed once per (n, kind): the memo is this function
-    itself, and an exception is never cached.
+    Every kind is generated by one route, from the fact they share: each
+    order has a least element, whose row is full.  Per least element the
+    candidates with that row full and every other row non-full (and, in the
+    antisymmetric kinds, clear of the least) are filtered by the kind's
+    condition (:func:`_rows_with_least`).  n is capped at 4, and for n at
+    most 3 every kind is re-derived from the brute-force filter over all
+    2**(n*n) row tuples; CrossCheckFailed if the two disagree.  The result
+    is computed once per (n, kind): the memo is this function itself, and
+    an exception is never cached.
     """
     if n > 4:
         raise CapExceeded(f"order enumeration over {n} elements exceeds cap 4")
-    if kind is OrderKind.WELL_ORDER:
-        found = tuple(_chain_rows(perm) for perm in itertools.permutations(range(n)))
-    elif kind is OrderKind.PARTIAL_ORDER_WITH_LEAST:
-        found = tuple(_pol_rows(n))
-    else:
-        found = tuple(_unique_universal_rows(n))
+    found = tuple(_rows_with_least(n, kind))
     if n <= 3 and set(_brute_force_rows(n, kind)) != set(found):
         raise CrossCheckFailed("direct route disagrees with the subset filter")
     return found

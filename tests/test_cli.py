@@ -263,13 +263,13 @@ def assert_every_sink_writes(capsys, argv, status, expected: bytes):
     assert cli.execute(cli.RunConfig(**args)) == (status, expected.decode())
 
 
-@pytest.mark.parametrize("kind", ["wellorder", "pol"])
+@pytest.mark.parametrize("kind", ["wellorder", "pol", "unique-universal"])
 def test_verify_report_on_the_four_element_member_is_golden(tmp_path, monkeypatch, kind):
     status = run_in(tmp_path, monkeypatch, ["{{},{{}},{{{}}},{{},{{}}}}"],
                     ["--kind", kind, "--out", "r.json"])
     assert status == 0
     got = (tmp_path / "r.json").read_bytes()
-    assert got == (GOLDEN / f"verify_A4_{kind}.json").read_bytes()
+    assert got == (GOLDEN / f"verify_A4_{kind.replace('-', '_')}.json").read_bytes()
     assert json.loads(got)["pipeline"]["u1_size"] == 65536
 
 

@@ -160,17 +160,21 @@ def u1_mask_corrupted() -> bool:
         return raises_cross_check(lambda: construction.run_pipeline(RUNNING, UNION, WO))
 
 
-def wellorder_routes_disagree() -> bool:
-    # The brute-force filter finds nothing; the permutation route still does.
+def order_predicate_rejects_everything() -> bool:
+    # Both routes inside order_rows filter by the predicate, so they find
+    # nothing and agree; the subset filter behind Q_S reads least_index and
+    # still finds every order, so Q_S's product and filter disagree.
     with cold_caches(), patched(orders, "_rows_satisfy", lambda rows, kind: False):
-        return raises_cross_check(lambda: orders.enumerate_orders(TWO, WO))
+        return all(raises_cross_check(
+            lambda: construction.run_pipeline(Family.of([TWO]), UNION, kind))
+            for kind in OrderKind)
 
 
-def direct_rows_disagree(generator: str, kind: OrderKind) -> bool:
-    # The direct generator loses its first order at every size; the
-    # brute-force filter, which checks every size from 1 to 3, does not.
-    real = getattr(orders, generator)
-    with cold_caches(), patched(orders, generator, lambda n: real(n)[1:]):
+def direct_rows_disagree(kind: OrderKind) -> bool:
+    # The generator loses its first order at every size; the brute-force
+    # filter, which checks every size from 1 to 3, does not.
+    real = orders._rows_with_least
+    with cold_caches(), patched(orders, "_rows_with_least", lambda n, kind: real(n, kind)[1:]):
         return all(raises_cross_check(lambda: orders.order_rows(n, kind)) for n in (1, 2, 3))
 
 
@@ -187,10 +191,10 @@ CHECKS = {
     "build_QS_literal": literal_picks_not_a_product,
     "run_pipeline_u1": u1_routes_disagree,
     "run_pipeline_u1_masks": u1_mask_corrupted,
-    "enumerate_orders": wellorder_routes_disagree,
-    "order_rows_pol": lambda: direct_rows_disagree("_pol_rows", OrderKind.PARTIAL_ORDER_WITH_LEAST),
-    "order_rows_unique_universal": lambda: direct_rows_disagree(
-        "_unique_universal_rows", OrderKind.UNIQUE_UNIVERSAL),
+    "order_predicate": order_predicate_rejects_everything,
+    "order_rows_wellorder": lambda: direct_rows_disagree(WO),
+    "order_rows_pol": lambda: direct_rows_disagree(OrderKind.PARTIAL_ORDER_WITH_LEAST),
+    "order_rows_unique_universal": lambda: direct_rows_disagree(OrderKind.UNIQUE_UNIVERSAL),
     "count_orders": order_count_carriers_disagree,
 }
 

@@ -212,12 +212,11 @@ CATALOGUE = (
            "mask >> i * n & full == full", "mask >> i * n & full != 0", PER_PICK),
     Mutant("fc-row-shift-unscaled", "construction.py",
            "mask >> i * n & full", "mask >> i & full", PER_PICK),
-    # The direct order generators, against the brute-force filter.
+    # The order generator's candidates, against the brute-force filter.
     Mutant("pol-candidates-clear-bit-0", "orders.py",
-           "if not row >> m & 1]", "if not row & 1]", DIRECT_ROWS),
-    Mutant("unique-universal-second-full-row", "orders.py",
-           "itertools.product(range(full), repeat=n - 1)",
-           "itertools.product(range(full + 1), repeat=n - 1)", DIRECT_ROWS),
+           "or not row >> m & 1]", "or not row & 1]", DIRECT_ROWS),
+    Mutant("unique-universal-candidates-clear-m", "orders.py",
+           "if kind is OrderKind.UNIQUE_UNIVERSAL or not", "if not", DIRECT_ROWS),
     # The flat canonical key, each against its from-scratch reference and
     # the nested-tuple order it replaced.
     Mutant("key-long-field-little-endian", "hfs.py",
