@@ -171,10 +171,10 @@ def _induced_order_holds(a: HfSet, m: HfSet) -> bool:
 def _induced_orders_roundtrip(fcs: tuple) -> bool:
     """Does the order each choice function in ``fcs`` induces on each member
     it chooses from meet its defining condition?  Each distinct pair
-    (member, chosen element) of the graphs is checked once; a graph element
-    that is not a pair fails the check."""
+    (member, chosen element) of the graphs, found by identity, is decoded
+    and checked once; a graph element that is not a pair fails the check."""
     try:
-        pairs = dict.fromkeys(unpair(p) for graph in fcs for p in graph.children)
+        pairs = [unpair(p) for p in {id(p): p for graph in fcs for p in graph.children}.values()]
     except NotAPair:
         return False
     return all(_induced_order_holds(a, m) for a, m in pairs)

@@ -13,8 +13,8 @@ hands it to both.
 A choice function is its graph, the set of its pairs (A, x), and F_c is a
 canonically sorted tuple of such graphs, the shape the oracle returns, so
 the two are compared as they are.  :func:`is_choice_function` checks a
-graph against the family, and :func:`phi3_holds` checks the order that one
-chosen element induces on its member (Theorem 4).
+graph against the family's table of its pairs, and :func:`phi3_holds`
+checks the order that one chosen element induces on its member (Theorem 4).
 
 Q_S is held as per-member order picks (:class:`QSet`): each Q unions one
 transported order per member, and each order carries its least element, so
@@ -79,6 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -88,7 +89,6 @@ from .hfs import (
     HfSet,
     cartesian,
     hfs_literal,
-    is_member,
     make_set,
     mask_selector,
     ordered_pair,
@@ -117,15 +117,23 @@ class U2Variant(Enum):
 
 
 class Family:
-    """A nonempty set of sets, with its union cached."""
+    """A nonempty set of sets, with its union and its pair table cached.
 
-    __slots__ = ("members", "union")
+    The pair table maps each pair (A, x), A a member and x an element of A,
+    to A (:func:`is_choice_function`).  It is keyed by the pair's identity,
+    since equal sets are one object, and holds the pairs, so no key's id is
+    reused while the family lives.
+    """
+
+    __slots__ = ("members", "union", "_pairs", "_member_of")
 
     def __init__(self, members: HfSet):
         if len(members) == 0:
             raise EmptyFamily("a family needs at least one member")
         self.members = members
         self.union = union_family(members)
+        self._pairs = [(ordered_pair(a, x), a) for a in members.children for x in a.children]
+        self._member_of = {id(p): a for p, a in self._pairs}
 
     @classmethod
     def of(cls, sets: Iterable[HfSet]) -> "Family":
@@ -268,7 +276,7 @@ def _u2_sizes(family: Family, variant: U2Variant) -> tuple:
 
 def _rows_mask(rows) -> int:
     n = len(rows)
-    return sum(row << (i * n) for i, row in enumerate(rows))
+    return sum(map(operator.lshift, rows, itertools.count(0, n)))
 
 
 def _mask_rows(mask: int, n: int) -> tuple:
@@ -292,8 +300,13 @@ def _over(base: HfSet, cells: tuple, masks: Iterable) -> list:
     the most significant bit).  Every cell must be a child of ``base``."""
     n = len(base)
     bit = {p: 1 << (n - 1 - i) for i, p in enumerate(base.children)}
-    cell_bits = [bit[p] for p in cells]
-    return [sum(cell_bits[b] for b in _bits(mask)) for mask in masks]
+    width = math.isqrt(len(cells))
+    full = (1 << width) - 1
+    # Per row, from its first bit, a table from the row's value to its cells'
+    # bits over base (an empty member has no rows).
+    tables = [(i, [sum(bit[cells[i + j]] for j in _bits(v)) for v in range(full + 1)])
+              for i in range(0, len(cells), width or 1)]
+    return [sum(table[mask >> i & full] for i, table in tables) for mask in masks]
 
 
 @functools.cache
@@ -610,15 +623,14 @@ def build_Fc_literal(family: Family, qs: QSet,
 
 def is_choice_function(graph: HfSet, family: Family) -> bool:
     """Is ``graph`` a choice function on ``family``: pairs (A, x), each
-    member A of the family once, x an element of A, and nothing else?"""
-    try:
-        pairs = [unpair(p) for p in graph.children]
-    except NotAPair:
-        return False
-    # Sorted, the pairs' first components are the members exactly when each
-    # member occurs once and nothing else does.
-    return (sorted(a for a, _ in pairs) == list(family.members.children)
-            and all(is_member(x, a) for a, x in pairs))
+    member A of the family once, x an element of A, and nothing else?
+
+    Each child of ``graph`` is mapped through the family's pair table, to A
+    for a pair (A, x) with x in A and to None for anything else.  Pairs
+    (A, x) sort by A, so the graph's children map to the family's members,
+    in order, exactly when each member occurs once and nothing else does.
+    """
+    return tuple(map(family._member_of.get, map(id, graph.children))) == family.members.children
 
 
 def phi3_holds(r: Relation, a: HfSet, m: HfSet) -> bool:

@@ -37,19 +37,24 @@ place it occurs: as many bytes as the literal has braces.  Sets with heavy
 sharing cost memory exponential in their size: ``von_neumann(n)`` unrolls to
 2**n nodes, so its key is 2**(n + 1) bytes, 2 MB for n = 20.
 
-Nodes are hash-consed through a weak intern table keyed by the identities of
-their children, so two live sets with equal content are one object.  The
-table key is sound because every set comes from the table: by induction on
-rank, equal children are the same objects, so equal sets have equal table
-keys.  An entry's node holds its children, so their ids cannot be reused
-while the entry lives; a node's entry is dropped when the node dies, and an
-entry whose weak reference already reads None is overwritten.  Hence
-``make_set`` deduplicates by identity, and building a node hashes only the
-ids, never a child's ``__hash__``.  Equality stays extensional: ``==``
-compares content and agrees with ``is``.  A node's hash is computed on its
-first ``__hash__``, so sets never hashed (most candidates of a scan) skip
-it.  ``ordered_pair`` builds its nodes directly: {x} sorts before {x,y}, and
-one key comparison orders x, y.
+Nodes are hash-consed through a weak intern table keyed by the frozenset of
+their children's ids, so two live sets with equal content are one object.
+The table key is sound because every set comes from the table: by induction
+on rank, equal children are the same objects, so equal sets have equal
+table keys.  An entry's node holds its children, so their ids cannot be
+reused while the entry lives; a node's entry is dropped when the node dies,
+and an entry whose weak reference already reads None is overwritten.  The
+key ignores order and duplicates, as a set does, so ``make_set`` looks its
+elements up before it deduplicates (by identity) or sorts them: a set that
+exists already costs one frozenset of ids and one lookup.  Building a node
+hashes only the ids, never a child's ``__hash__``.  A small frozenset takes
+about 200 bytes more than a tuple of the same ids; a sorted tuple of ids
+would be as small, but sorting the ids on every call made new nodes
+slower.  Equality stays extensional: ``==`` compares content and agrees
+with ``is``.  A node's hash is computed on its first ``__hash__``, so sets
+never hashed (most candidates of a scan) skip it.  ``ordered_pair`` builds
+its nodes directly: {x} sorts before {x,y}, and one key comparison orders
+x, y.
 
 Each node renders its literal once and keeps the text, so a subset shared by
 many sets (a tagged pair inside every relation of Q_S, say) is printed once
@@ -200,8 +205,9 @@ class _InternRef(weakref.ref):
     __slots__ = ("key",)
 
 
-# Children's ids -> weak reference to their node (see the module docstring).
-_intern: "dict[tuple, _InternRef]" = {}
+# The frozenset of the children's ids -> weak reference to their node (see
+# the module docstring).
+_intern: "dict[frozenset, _InternRef]" = {}
 
 
 def _forget(ref: _InternRef, table: dict = _intern) -> None:
@@ -222,14 +228,16 @@ def _field(v: int) -> bytes:
     return v.to_bytes(1, "big") if v < 255 else b"\xff" + v.to_bytes(4, "big")
 
 
-def _node(children: tuple) -> HfSet:
-    """Intern a children tuple that is already sorted and duplicate-free."""
-    key = tuple(map(id, children))
-    ref = _intern.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
+def _node(children: tuple, key: frozenset | None = None) -> HfSet:
+    """Intern a children tuple that is already sorted and duplicate-free;
+    ``key``, when given, is its table key, already looked up and missed."""
+    if key is None:
+        key = frozenset(map(id, children))
+        ref = _intern.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
     n = len(children)
     # Children are sorted rank-first, so the last one has the largest rank.
     rank = 1 + children[-1].rank if n else 0
@@ -247,10 +255,19 @@ def canonical_key(s: HfSet):
 
 def make_set(elems: Iterable[HfSet] = ()) -> HfSet:
     """The set of the given elements, deduplicated and canonically ordered."""
-    # Equal sets are one object (see the module docstring), so identity
-    # deduplicates.
-    unique = {id(x): x for x in elems}
-    return _node(tuple(sorted(unique.values(), key=_get_key)))
+    elems = tuple(elems)
+    # The table key ignores order and duplicates, so an existing node is
+    # found before anything is sorted (see the module docstring).
+    key = frozenset(map(id, elems))
+    ref = _intern.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    if len(key) < len(elems):
+        # Equal sets are one object, so identity deduplicates.
+        elems = {id(x): x for x in elems}.values()
+    return _node(tuple(sorted(elems, key=_get_key)), key)
 
 
 EMPTY = make_set(())

@@ -30,6 +30,12 @@ UNIVERSE5 = iter_hfs_by_rank(3)[:5]
 DISJOINT4 = ["{{},{{}}}", "{{{{}}},{{},{{}}}}", "{{{{{}}}},{{{},{{}}}}}",
              "{{{},{{{}}}},{{},{{},{{}}}},{{{}},{{{}}}}}"]
 
+# Four disjoint 3-element members, the first twelve sets of rank at most 3:
+# a product-shaped family with 81 choice functions.
+PRODUCT4 = ["{{},{{}},{{{}}}}", "{{{},{{}}},{{{{}}}},{{{},{{}}}}}",
+            "{{{},{{{}}}},{{},{{},{{}}}},{{{}},{{{}}}}}",
+            "{{{{}},{{},{{}}}},{{{{}}},{{},{{}}}},{{},{{}},{{{}}}}}"]
+
 
 # --- frozenset model ---------------------------------------------------------
 

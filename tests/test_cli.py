@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DISJOINT4
+from helpers import DISJOINT4, PRODUCT4
 from zflab import cli, construction, hfs, oracle
 from zflab.errors import EmptyFamily, ParseError
 from zflab.hfs import EMPTY, MAX_LITERAL_DEPTH, make_set, parse_hfs
@@ -368,6 +368,7 @@ def test_zero_caps_are_accepted(tmp_path, capsys, monkeypatch):
     # k = 36 > 16: F_c and the witness come from the order picks alone.
     ("verify_disjoint4_wellorder", DISJOINT4, ["--kind", "wellorder"]),
     ("verify_disjoint4_pol", DISJOINT4, ["--kind", "pol"]),
+    ("verify_product4_pol", PRODUCT4, ["--kind", "pol"]),
     # 48 Q's, each repeating tagged pairs the others print.
     ("enumerate_disjoint4_wellorder", DISJOINT4, ["--kind", "wellorder"]),
     # 36 Q's of 4, 5 and 6 pairs: the Q's order by size before positions.
@@ -403,6 +404,9 @@ def test_seeded_reports_are_golden(tmp_path, monkeypatch, capsys, golden, args):
 HASH_SEED_RUNS = {
     "verify_A4_pol": (["{{},{{}},{{{}}},{{},{{}}}}"], ["verify", "--kind", "pol"]),
     "enumerate_pol": (["{{},{{}}}", "{{},{{}},{{{}}}}"], ["enumerate", "--kind", "pol"]),
+    # Product-shaped: the pair table checks 81 graphs and the roundtrip
+    # their distinct pairs, and the intern table is keyed by frozensets.
+    "verify_product4_pol": (PRODUCT4, ["verify", "--kind", "pol"]),
     "fuzz_pol_seed7": (None, ["fuzz", "--seed", "7", "--trials", "25", "--kind", "pol",
                               "--allow-empty"]),
 }

@@ -15,7 +15,7 @@ import zflab
 from helpers import (MEMOS, SUBSETS4, SUBSETS4_UP_TO_3, UNIVERSE4, cold_caches, formula_fc,
                      to_frozen)
 from zflab import cli, construction, hfs, oracle, orders
-from zflab.errors import CapExceeded, EmptyFamily, NoLeast
+from zflab.errors import CapExceeded, EmptyFamily, NoLeast, NotAPair
 from zflab.construction import (
     Family,
     U2Variant,
@@ -40,6 +40,7 @@ from zflab.hfs import (
     canonical_key,
     cartesian,
     hfs_literal,
+    is_member,
     iter_hfs_by_rank,
     make_set,
     ordered_pair,
@@ -324,6 +325,53 @@ def test_choice_function_validation():
     }
     assert {name: is_choice_function(make_set(pairs), RUNNING)
             for name, pairs in bad.items()} == dict.fromkeys(bad, False)
+
+
+def sorted_membership_is_choice_function(graph, family) -> bool:
+    """The check that the pair table replaced: every child decoded, the
+    first components sorted and compared with the members, and each chosen
+    element tested for membership."""
+    try:
+        pairs = [unpair(p) for p in graph.children]
+    except NotAPair:
+        return False
+    return (sorted(a for a, _ in pairs) == list(family.members.children)
+            and all(is_member(x, a) for a, x in pairs))
+
+
+@st.composite
+def near_choice_graphs(draw):
+    """A family of SUBSETS4_UP_TO_3 members and a graph near one of its
+    choice functions: some members' pairs dropped, and pairs added that
+    repeat a member, choose outside their member, tag a foreign set, or are
+    no pairs at all."""
+    family = Family.of(draw(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1,
+                                      max_size=3)))
+    pairs = [ordered_pair(a, draw(st.sampled_from(a.children))) for a in family if len(a)]
+    dropped = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=2)) if pairs else set()
+    tags = list(family.members.children) + SUBSETS4
+    added = draw(st.lists(st.one_of(
+        st.builds(ordered_pair, st.sampled_from(tags), st.sampled_from(UNIVERSE4)),
+        st.builds(ordered_pair, st.sampled_from(UNIVERSE4), st.sampled_from(UNIVERSE4)),
+        st.sampled_from(SUBSETS4)), max_size=2))
+    kept = [p for i, p in enumerate(pairs) if i not in dropped]
+    return family, make_set(kept + added)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_choice_graphs())
+def test_the_pair_table_check_equals_the_sorted_membership_check(case):
+    family, graph = case
+    assert is_choice_function(graph, family) == sorted_membership_is_choice_function(graph, family)
+
+
+def test_the_pair_table_check_accepts_every_oracle_graph_of_small_families():
+    for members in itertools.combinations(SUBSETS4_UP_TO_3[1:], 2):
+        family = Family.of(members)
+        graphs = oracle.enumerate_choice_functions(family)
+        assert graphs
+        assert all(is_choice_function(g, family) for g in graphs)
+        assert all(sorted_membership_is_choice_function(g, family) for g in graphs)
 
 
 def test_build_fc_matches_oracle_on_running_example():

@@ -38,11 +38,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import zflab
-from helpers import DISJOINT4, SUBSETS4, SUBSETS4_UP_TO_3, cold_caches, formula_fc
+from helpers import (DISJOINT4, SUBSETS4, SUBSETS4_UP_TO_3, UNIVERSE4, cold_caches,
+                     formula_fc)
 from zflab import cli, construction, oracle, orders
 from zflab.construction import Family, U2Variant, phi3_holds
-from zflab.errors import CrossCheckFailed
-from zflab.hfs import EMPTY, cartesian, make_set, ordered_pair, unpair
+from zflab.errors import CrossCheckFailed, NotAPair
+from zflab.hfs import EMPTY, cartesian, is_member, make_set, ordered_pair, unpair
 from zflab.orders import OrderKind
 
 ONE = make_set((EMPTY,))
@@ -505,6 +506,38 @@ def test_the_memoized_roundtrip_equals_the_loop_it_replaces(members, broken):
         for graph in fcs:
             assert cli._induced_orders_roundtrip((graph,)) == old_roundtrip(family, (graph,))
         assert cli._induced_orders_roundtrip(fcs) == old_roundtrip(family, fcs)
+
+
+def per_occurrence_roundtrip(fcs) -> bool:
+    # Every occurrence of every child decoded and checked, with no dedupe
+    # and no memo.
+    for graph in fcs:
+        for p in graph.children:
+            try:
+                a, m = unpair(p)
+            except NotAPair:
+                return False
+            if not (is_member(m, a) and direct_verdict(a, m)):
+                return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SUBSETS4_UP_TO_3), min_size=1, max_size=3), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 80), st.one_of(
+           st.sampled_from(SUBSETS4),
+           st.builds(ordered_pair, st.sampled_from(SUBSETS4), st.sampled_from(UNIVERSE4)))),
+           max_size=3))
+def test_the_distinct_pair_roundtrip_equals_the_per_occurrence_decode(members, broken, extras):
+    # Graphs of F_c, some with a child added: a non-pair, or a pair (A, x)
+    # whose A may be no member and whose x may lie outside A.
+    fcs = list(fc_of(Family.of(members)))
+    for index, extra in extras:
+        if fcs:
+            i = index % len(fcs)
+            fcs[i] = make_set(fcs[i].children + (extra,))
+    with cold_caches(), (break_induced_order() if broken else contextlib.nullcontext()):
+        assert cli._induced_orders_roundtrip(tuple(fcs)) == per_occurrence_roundtrip(fcs)
 
 
 def test_the_roundtrip_checks_each_distinct_pair_once(tmp_path):

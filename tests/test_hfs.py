@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -466,6 +467,53 @@ def test_intern_table_shrinks_back_after_a_dropped_powerset():
     gc.collect()
     assert len(hfs._intern) == baseline
     assert all(ref() is not None for ref in hfs._intern.values())
+
+
+@given(shape=shapes, data=st.data())
+def test_make_set_finds_one_node_for_any_order_duplicates_or_generator(shape, data):
+    # The table key ignores order and duplicates, so every spelling of the
+    # same children finds the node that the canonical tuple gives.
+    children = [build(child) for child in shape]
+    canonical = tuple(sorted({id(c): c for c in children}.values(), key=canonical_key))
+    node = make_set(canonical)
+    assert node.children == canonical
+    repeated = data.draw(st.lists(st.sampled_from(children), max_size=6)) if children else []
+    spelled = data.draw(st.permutations(children + repeated))
+    assert make_set(spelled) is node
+    assert make_set(tuple(spelled)) is node
+    assert make_set(iter(spelled)) is node
+    assert make_set(c for c in reversed(spelled)) is node
+    assert hfs._node(canonical) is node
+
+
+@given(shape=shapes)
+def test_a_dead_node_is_rebuilt_once_with_one_live_entry(shape):
+    children = [build(child) for child in shape]
+    # A tag, nested until no live node has these children, makes the node new.
+    tag = EMPTY
+    while frozenset(map(id, children + [tag])) in hfs._intern:
+        tag = make_set((tag,))
+    children.append(tag)
+    node = make_set(children)
+    dead = weakref.ref(node)
+    del node
+    gc.collect()
+    assert dead() is None
+    before = len(hfs._intern)
+    gc.disable()
+    try:
+        # Reversed and with every child twice: the new node is canonical all
+        # the same.
+        again = make_set(children[::-1] + children)
+        after = len(hfs._intern)
+    finally:
+        gc.enable()
+    assert after == before + 1
+    assert again.children == tuple(sorted({id(c): c for c in children}.values(),
+                                          key=canonical_key))
+    assert [ref for ref in hfs._intern.values() if ref() is again] == [
+        hfs._intern[frozenset(map(id, children))]]
+    assert make_set(children) is again
 
 
 # --- the flat canonical key ----------------------------------------------------

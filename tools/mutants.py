@@ -60,6 +60,7 @@ EMPTINESS = (INTERVALS + "test_empty_intervals_rejected",
              INTERVALS + "test_emptiness_matches_the_fraction_comparisons")
 HFS = "tests/test_hfs.py::"
 KEY_REFERENCE = HFS + "test_rank_key_and_hash_match_the_reference_on_rank3_sets_and_pairs"
+MAKE_SET_SPELLINGS = HFS + "test_make_set_finds_one_node_for_any_order_duplicates_or_generator"
 PER_PICK = (CONSTRUCTION + "test_the_per_pick_row_test_equals_the_per_q_loop",
             CONSTRUCTION + "test_the_per_pick_row_test_equals_the_per_q_loop_on_every_small_family")
 DIRECT_ROWS = ("tests/test_orders.py::test_order_rows_equal_the_brute_force_filter",
@@ -178,8 +179,14 @@ CATALOGUE = (
            "    except NotAPair:\n        return True\n    return all(",
            (NOT_A_CHOICE,)),
     Mutant("choice-function-ignores-membership", "construction.py",
-           "\n            and all(is_member(x, a) for a, x in pairs))", ")",
-           (NOT_A_CHOICE, CONSTRUCTION + "test_choice_function_validation")),
+           "for a in members.children for x in a.children]",
+           "for a in members.children for x in self.union.children]",
+           (NOT_A_CHOICE, CONSTRUCTION + "test_choice_function_validation",
+            CONSTRUCTION + "test_the_pair_table_check_equals_the_sorted_membership_check")),
+    Mutant("roundtrip-dedupe-merges-pairs", "cli.py",
+           "{id(p): p for graph in fcs", "{len(p): p for graph in fcs",
+           (CROSS + "test_the_roundtrip_checks_each_distinct_pair_once",
+            CROSS + "test_the_distinct_pair_roundtrip_equals_the_per_occurrence_decode")),
     Mutant("invalid-graph-not-a-failure", "cli.py",
            'failures.append("a built graph is not a choice function on the family")', "pass",
            (NOT_A_CHOICE,)),
@@ -230,6 +237,13 @@ CATALOGUE = (
     Mutant("key-header-dropped", "hfs.py",
            '_field(rank) + _field(n) + b"".join(', 'b"".join(',
            (KEY_REFERENCE, HFS + "test_a_key_holds_two_bytes_per_brace_of_the_literal")),
+    # The intern table's order-free key, against every spelling of a set.
+    Mutant("intern-key-drops-a-child", "hfs.py",
+           "key = frozenset(map(id, elems))", "key = frozenset(map(id, elems[1:]))",
+           (MAKE_SET_SPELLINGS, HFS + "test_extensional_dedup_and_interning")),
+    Mutant("make-set-keeps-duplicates", "hfs.py",
+           "if len(key) < len(elems):", "if False:",
+           (MAKE_SET_SPELLINGS, HFS + "test_a_dead_node_is_rebuilt_once_with_one_live_entry")),
     Mutant("config-unchecked", "cli.py",
            "        _check_config(cfg)\n", "",
            (CLI + "test_execute_reports_a_config_main_would_refuse",)),
