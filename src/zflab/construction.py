@@ -322,8 +322,9 @@ def _picks(n: int, kind: OrderKind) -> tuple:
     """
     cells = _cells(von_neumann(n))
     base = make_set(cells)
-    picks = [(_rows_mask(rows), least_index(rows, kind)) for rows in order_rows(n, kind)]
-    picks = [pick for pick in picks if pick[1] is not None]
+    # A nonempty order has exactly one full row, its least element's; the
+    # empty carrier's vacuous order has no least and is dropped.
+    picks = [(_rows_mask(rows), rows.index((1 << n) - 1)) for rows in order_rows(n, kind) if rows]
     by_mask = dict(zip(_over(base, cells, (mask for mask, _ in picks)), picks))
     return tuple(map(by_mask.get, subset_order(base, by_mask)))
 

@@ -88,7 +88,7 @@ from __future__ import annotations
 import itertools
 import operator
 import weakref
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceeded, NotAPair, ParseError
 
@@ -167,23 +167,8 @@ class HfSet:
     def __lt__(self, other):
         return self._key < other._key
 
-    def __le__(self, other):
-        return self._key <= other._key
-
-    def __gt__(self, other):
-        return self._key > other._key
-
-    def __ge__(self, other):
-        return self._key >= other._key
-
     def __len__(self) -> int:
         return len(self.children)
-
-    def __iter__(self) -> Iterator["HfSet"]:
-        return iter(self.children)
-
-    def __contains__(self, x) -> bool:
-        return is_member(x, self)
 
     def __repr__(self) -> str:
         return hfs_literal(self)
@@ -220,7 +205,8 @@ def _forget(ref: _InternRef, table: dict = _intern) -> None:
         del table[ref.key]
 
 
-_get_key = operator.attrgetter("_key")
+# Opaque sort key realizing the canonical total order on sets.
+canonical_key = operator.attrgetter("_key")
 
 
 def _field(v: int) -> bytes:
@@ -241,16 +227,11 @@ def _node(children: tuple, key: frozenset | None = None) -> HfSet:
     n = len(children)
     # Children are sorted rank-first, so the last one has the largest rank.
     rank = 1 + children[-1].rank if n else 0
-    node = HfSet(children, rank, _field(rank) + _field(n) + b"".join(map(_get_key, children)))
+    node = HfSet(children, rank, _field(rank) + _field(n) + b"".join(map(canonical_key, children)))
     ref = _InternRef(node, _forget)
     ref.key = key
     _intern[key] = ref
     return node
-
-
-def canonical_key(s: HfSet):
-    """Opaque sort key realizing the canonical total order on sets."""
-    return s._key
 
 
 def make_set(elems: Iterable[HfSet] = ()) -> HfSet:
@@ -267,7 +248,7 @@ def make_set(elems: Iterable[HfSet] = ()) -> HfSet:
     if len(key) < len(elems):
         # Equal sets are one object, so identity deduplicates.
         elems = {id(x): x for x in elems}.values()
-    return _node(tuple(sorted(elems, key=_get_key)), key)
+    return _node(tuple(sorted(elems, key=canonical_key)), key)
 
 
 EMPTY = make_set(())

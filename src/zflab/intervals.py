@@ -27,11 +27,9 @@ from .errors import EmptyInterval, ParseError, SampleOutsideInterval
 from .orders import PropertyReport, properties_from_rows
 
 __all__ = [
-    "Interval", "Rational", "choice_value", "hyper_choice", "parse_interval",
+    "Interval", "choice_value", "hyper_choice", "parse_interval",
     "parse_rational", "phi2_holds", "pol_compare", "sample_check_pol",
 ]
-
-Rational = Fraction
 
 _RAT = re.compile(r"-?\d+(?:/\d+)?\Z")
 _INTERVAL = re.compile(

@@ -51,8 +51,10 @@ from zflab.hfs import (
 from zflab.orders import (
     OrderKind,
     enumerate_orders,
+    least_index,
     lift_order,
     order_from_formula,
+    order_rows,
     pointed_order,
     relation_properties,
     satisfies,
@@ -545,6 +547,19 @@ def test_picks_come_in_the_canonical_order_of_their_lifted_sets(a, kind):
 def test_mask_rows_inverts_rows_mask(n):
     for rows in itertools.product(range(1 << n), repeat=n):
         assert construction._mask_rows(construction._rows_mask(rows), n) == rows
+
+
+@pytest.mark.parametrize("kind", OrderKind)
+@pytest.mark.parametrize("n", range(5))
+def test_each_picks_least_is_the_least_index_of_its_rows(n, kind):
+    # _picks reads each order's least off its full row; least_index derives
+    # it from the kind's condition, and names exactly the orders with one.
+    picks = construction._picks(n, kind)
+    assert [least for _, least in picks] == [
+        least_index(construction._mask_rows(mask, n), kind) for mask, _ in picks]
+    assert {mask for mask, _ in picks} == {
+        construction._rows_mask(rows) for rows in order_rows(n, kind)
+        if least_index(rows, kind) is not None}
 
 
 @pytest.mark.parametrize("a,kind", [

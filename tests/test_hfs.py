@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import random
 import struct
 import weakref
 
@@ -129,6 +130,11 @@ def test_canonical_order_is_total_and_consistent():
     ordered = sorted(atoms, key=canonical_key)
     for x, y in zip(ordered, ordered[1:]):
         assert x < y
+    # sorted and min need only <, and max reaches it reflected.
+    shuffled = random.Random(0).sample(atoms, len(atoms))
+    assert sorted(shuffled) == ordered
+    assert min(shuffled) is ordered[0] is min(shuffled, key=canonical_key)
+    assert max(shuffled) is ordered[-1] is max(shuffled, key=canonical_key)
 
 
 def test_children_are_sorted_canonically():

@@ -18,7 +18,8 @@ Each mutant's line gives its name, its verdict in each mode and its wall
 time.  The exit status is 0 when
 every mutant was killed, 1 when one survived, and 2 when the unmutated tests
 fail or pytest cannot run one entry's tests.  The tier-1 suite only checks
-that every snippet still occurs exactly once; it never runs the mutants.
+that every snippet still occurs exactly once and that every named test
+exists; it never runs the mutants.
 """
 
 from __future__ import annotations
@@ -219,6 +220,11 @@ CATALOGUE = (
            "mask >> i * n & full == full", "mask >> i * n & full != 0", PER_PICK),
     Mutant("fc-row-shift-unscaled", "construction.py",
            "mask >> i * n & full", "mask >> i & full", PER_PICK),
+    # Each order's least, read off its full row, against least_index.
+    Mutant("picks-least-is-row-0", "construction.py",
+           "rows.index((1 << n) - 1)", "0",
+           (CONSTRUCTION + "test_each_picks_least_is_the_least_index_of_its_rows",
+            *GOLDEN_JSON)),
     # The order generator's candidates, against the brute-force filter.
     Mutant("pol-candidates-clear-bit-0", "orders.py",
            "or not row >> m & 1]", "or not row & 1]", DIRECT_ROWS),
